@@ -18,7 +18,7 @@ from itertools import permutations
 from typing import Optional
 
 from .poset import FinitePoset, SubsetMask, _refined_colors
-from .wadge import KPartition, MonotoneMap, is_monotone
+from .wadge import KPartition, MonotoneMap, _search_map, is_monotone
 
 POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
 
@@ -142,24 +142,9 @@ def random_retraction(
 ) -> Optional[tuple[SubsetMask, MonotoneMap]]:
     """A random subset Y with a monotone map fixing it, if one exists."""
     size = rng.randint(1, X.n)
-    carrier = sorted(rng.sample(range(X.n), size))
-    Y = X.mask_from_indices(carrier)
-    in_y = set(carrier)
-    image = [-1] * X.n
-
-    def assign(pos: int) -> bool:
-        if pos == X.n:
-            return True
-        x = X.linext[pos]
-        candidates = [x] if x in in_y else sorted(in_y)
-        for t in candidates:
-            if all(X.leq[image[p]][t] for p in X.strict_below(x)):
-                image[x] = t
-                if assign(pos + 1):
-                    return True
-                image[x] = -1
-        return False
-
-    if not assign(0):
+    Y = X.mask_from_indices(rng.sample(range(X.n), size))
+    fixed = Y.as_int()
+    image = _search_map(X, [1 << x if fixed >> x & 1 else fixed for x in range(X.n)])
+    if image is None:
         return None
-    return Y, MonotoneMap(X.space_id, tuple(image))
+    return Y, MonotoneMap(X.space_id, image)

@@ -268,20 +268,10 @@ class FinitePoset:
         in the worst case; callers that accept arbitrary spaces should cap
         the element count (the CLI defaults to 16).
         """
-        n = self.n
-        order = list(reversed(self.linext))  # successors decided first
-        found: list[int] = []
-
-        def extend(pos: int, current: int) -> None:
-            if pos == len(order):
-                found.append(current)
-                return
-            x = order[pos]
-            extend(pos + 1, current)
-            if self._up_int[x] & ~current == (1 << x):
-                extend(pos + 1, current | (1 << x))
-
-        extend(0, 0)
+        found = [0]
+        for x in reversed(self.linext):  # successors decided first
+            bit = 1 << x
+            found += [v | bit for v in found if self._up_int[x] & ~v == bit]
         masks = [self.mask_from_int(v) for v in found]
         # cardinality, then sets containing earlier elements first
         masks.sort(key=lambda m: (m.count(), m.indices()))

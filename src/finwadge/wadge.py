@@ -118,23 +118,18 @@ def wadge_reduces(
 ) -> Optional[MonotoneMap]:
     """Witness f with f(x) in B iff x in A, or None if no witness exists.
 
-    Backtracking along the cached linear extension: each element's image
-    must dominate the images of its already-assigned predecessors (WADGE
-    kind only) and must respect the membership constraint.  Candidate
-    targets are tried in increasing index order, so the witness is
-    deterministic.  A pre-filter rejects the search outright when the
-    difference level of A exceeds that of B, which is sound because the
-    levels are closed under continuous preimages.
+    The witness is the first solution along the cached linear extension,
+    with targets tried in increasing index order, so it is deterministic.
+    A pre-filter rejects the search outright when the difference level of
+    A exceeds that of B, which is sound because the levels are closed
+    under continuous preimages.
     """
     X.check_mask(A)
     X.check_mask(B)
     if kind is ReducibilityKind.WADGE and not level_leq(classify(X, A), classify(X, B)):
         return None
-    constraint = [B.bits if a else tuple(not b for b in B.bits) for a in A.bits]
-    image = _search_map(X, constraint, monotone=kind is ReducibilityKind.WADGE)
-    if image is None:
-        return None
-    return MonotoneMap(X.space_id, image)
+    inside, outside = B.as_int(), B.complement().as_int()
+    return _first_map(X, [inside if a else outside for a in A.bits], kind)
 
 
 def partition_reduces(X: FinitePoset, mu: KPartition, nu: KPartition) -> Optional[MonotoneMap]:
@@ -159,39 +154,60 @@ def _partition_reduces(
         for c in range(mu.k):
             if not level_leq(classify(X, mu.color_class(c)), classify(X, nu.color_class(c))):
                 return None
-    constraint = [tuple(nc == c for nc in nu.colors) for c in mu.colors]
-    image = _search_map(X, constraint, monotone=kind is ReducibilityKind.WADGE)
-    if image is None:
-        return None
-    return MonotoneMap(X.space_id, image)
+    color_class = [nu.color_class(c).as_int() for c in range(nu.k)]
+    return _first_map(X, [color_class[c] for c in mu.colors], kind)
 
 
-def _search_map(
-    X: FinitePoset, allowed: Sequence[tuple[bool, ...]], monotone: bool
-) -> Optional[tuple[int, ...]]:
+def _first_map(
+    X: FinitePoset, domains: Sequence[int], kind: ReducibilityKind
+) -> Optional[MonotoneMap]:
+    """First map with f(x) in domains[x], monotone for the WADGE kind.
+
+    Without the order constraint the elements are independent, so the
+    first solution sends each x to the lowest index in its domain.
+    """
+    if kind is ReducibilityKind.WADGE:
+        image = _search_map(X, domains)
+    elif all(domains):
+        image = tuple((d & -d).bit_length() - 1 for d in domains)
+    else:
+        image = None
+    return None if image is None else MonotoneMap(X.space_id, image)
+
+
+def _search_map(X: FinitePoset, domains: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """First monotone map with f(x) in the bitmask domains[x], or None.
+
+    Depth-first along X.linext with an explicit stack: the candidates at
+    each depth are the domain intersected with the up-sets of the images
+    of the strict predecessors, tried lowest index first.  The result is
+    therefore the first solution in linear-extension order.
+    """
     n = X.n
+    if n == 0:
+        return ()
     order = X.linext
-    preds = [X.strict_below(x) for x in range(n)]
-    image = [-1] * n
-
-    def assign(pos: int) -> bool:
+    up = X._up_int
+    preds = [X.strict_below(x) for x in order]
+    image = [0] * n
+    untried = [0] * n
+    untried[0] = domains[order[0]]
+    pos = 0
+    while pos >= 0:
+        candidates = untried[pos]
+        if not candidates:
+            pos -= 1
+            continue
+        low = candidates & -candidates
+        untried[pos] = candidates ^ low
+        image[order[pos]] = low.bit_length() - 1
+        pos += 1
         if pos == n:
-            return True
-        x = order[pos]
-        ok_targets = allowed[x]
-        for t in range(n):
-            if not ok_targets[t]:
-                continue
-            if monotone and any(not X.leq[image[p]][t] for p in preds[x]):
-                continue
-            image[x] = t
-            if assign(pos + 1):
-                return True
-            image[x] = -1
-        return False
-
-    if assign(0):
-        return tuple(image)
+            return tuple(image)
+        candidates = domains[order[pos]]
+        for p in preds[pos]:
+            candidates &= up[image[p]]
+        untried[pos] = candidates
     return None
 
 

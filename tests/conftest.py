@@ -87,6 +87,28 @@ def all_monotone_maps(P: FinitePoset) -> list[tuple[int, ...]]:
     return out
 
 
+def first_map(P: FinitePoset, allowed, monotone: bool):
+    """First map with f(x) in allowed[x], lexicographic along P.linext.
+
+    Enumerates all |P|^|P| maps, reading each as the targets of
+    P.linext[0], P.linext[1], ...; returns the image indexed by element,
+    or None.
+    """
+    order = P.linext
+    for targets in product(range(P.n), repeat=P.n):
+        image = [0] * P.n
+        for x, t in zip(order, targets):
+            image[x] = t
+        if not all(image[x] in allowed[x] for x in range(P.n)):
+            continue
+        if monotone and not all(
+            P.leq[image[i]][image[j]] for i in range(P.n) for j in range(P.n) if P.leq[i][j]
+        ):
+            continue
+        return tuple(image)
+    return None
+
+
 def brute_reduces(P: FinitePoset, A: SubsetMask, B: SubsetMask, maps=None) -> bool:
     if maps is None:
         maps = all_monotone_maps(P)

@@ -167,6 +167,14 @@ def test_reduce_kind_any(capsys, chain2_doc):
     assert out != "NONE\n"
 
 
+def test_reduce_kind_any_none_on_long_chain(capsys, tmp_path):
+    path = tmp_path / "c12.json"
+    save_document(PosetDocument(chain(12)), path)
+    code, out = run(capsys, "reduce", str(path), "1" * 11 + "0", "1" * 12, "--kind", "any")
+    assert code == 0
+    assert out == "NONE\n"
+
+
 def test_space_opens_capped(capsys, tmp_path):
     path = tmp_path / "c17.json"
     save_document(PosetDocument(chain(17)), path)

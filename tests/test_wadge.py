@@ -31,9 +31,9 @@ from finwadge.enumeration import (
     random_retraction,
 )
 from finwadge.verify import level_degree_findings
-from finwadge.wadge import all_subsets
+from finwadge.wadge import all_subsets, reduces
 
-from conftest import all_monotone_maps, brute_reduces, poset_with_two_masks
+from conftest import all_monotone_maps, brute_reduces, first_map, poset_with_two_masks
 
 
 def test_is_monotone_examples(small_poset_zoo):
@@ -87,6 +87,68 @@ def test_witness_is_deterministic(small_poset_zoo):
     w1 = wadge_reduces(P, A, B)
     w2 = wadge_reduces(P, A, B)
     assert w1 == w2
+
+
+def _image(witness):
+    return None if witness is None else witness.image
+
+
+def test_witness_is_first_map_in_linext_order():
+    for n in range(1, 5):
+        for P in all_posets(n):
+            subs = all_subsets(P)
+            for A in subs:
+                for B in subs:
+                    allowed = [[t for t in range(P.n) if B.has(t) == A.has(x)] for x in range(P.n)]
+                    for kind in ReducibilityKind:
+                        expected = first_map(P, allowed, kind is ReducibilityKind.WADGE)
+                        assert _image(wadge_reduces(P, A, B, kind)) == expected
+
+
+def test_partition_witness_is_first_map_in_linext_order():
+    rng = random.Random(161803)
+    for n in range(1, 5):
+        for P in all_posets(n):
+            for _ in range(25):
+                mu = KPartition(P.space_id, 3, tuple(rng.randrange(3) for _ in range(P.n)))
+                nu = KPartition(P.space_id, 3, tuple(rng.randrange(3) for _ in range(P.n)))
+                allowed = [[t for t in range(P.n) if nu.colors[t] == mu.colors[x]] for x in range(P.n)]
+                assert _image(partition_reduces(P, mu, nu)) == first_map(P, allowed, True)
+
+
+def test_retraction_witness_is_first_map_in_linext_order():
+    for n in range(1, 5):
+        for P in all_posets(n):
+            for seed in range(4):
+                # the same draw of Y that random_retraction makes
+                twin = random.Random(seed)
+                carrier = set(twin.sample(range(P.n), twin.randint(1, P.n)))
+                allowed = [[x] if x in carrier else sorted(carrier) for x in range(P.n)]
+                expected = first_map(P, allowed, True)
+                got = random_retraction(random.Random(seed), P)
+                if expected is None:
+                    assert got is None
+                else:
+                    assert set(got[0].indices()) == carrier
+                    assert got[1].image == expected
+
+
+def test_all_functions_closed_form_on_long_chain():
+    # the top has nowhere to go outside the full set; no search may run
+    X = chain(40)
+    below_top = X.mask_from_indices(range(39))
+    assert wadge_reduces(X, below_top, X.full_mask(), ReducibilityKind.ALL_FUNCTIONS) is None
+    w = wadge_reduces(X, below_top, X.mask_from_indices([5, 7]), ReducibilityKind.ALL_FUNCTIONS)
+    assert w is not None and w.image == (5,) * 39 + (0,)
+
+
+def test_all_functions_partition_missing_color():
+    X = chain(40)
+    mu = KPartition(X.space_id, 3, (0,) * 38 + (1, 2))
+    nu = KPartition(X.space_id, 3, (1, 0) * 20)  # no color 2
+    assert reduces(X, mu, nu, ReducibilityKind.ALL_FUNCTIONS) is None
+    w = reduces(X, nu, mu, ReducibilityKind.ALL_FUNCTIONS)
+    assert w is not None and w.image == (38, 0) * 20
 
 
 def test_space_mismatch_rejected(small_poset_zoo):
