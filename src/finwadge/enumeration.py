@@ -17,7 +17,7 @@ import random
 from itertools import permutations
 from typing import Optional
 
-from .poset import FinitePoset, SubsetMask, _refined_colors
+from .poset import FinitePoset, SubsetMask, _members, _refined_colors, build_poset
 from .wadge import KPartition, MonotoneMap, _search_map, is_monotone
 
 POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
@@ -88,18 +88,9 @@ def _attach_maximal(P: FinitePoset, ideal: int, size: int) -> FinitePoset:
 def random_poset(rng: random.Random, n: int) -> FinitePoset:
     """Random order on n elements: closure of random index-increasing edges."""
     density = rng.choice((0.15, 0.25, 0.35, 0.5))
-    leq = [[i == j for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < density:
-                leq[i][j] = True
-    for k in range(n):
-        for i in range(n):
-            if leq[i][k]:
-                for j in range(n):
-                    if leq[k][j]:
-                        leq[i][j] = True
-    return FinitePoset(tuple(f"e{i}" for i in range(n)), tuple(tuple(row) for row in leq))
+    labels = [f"e{i}" for i in range(n)]
+    edges = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+    return build_poset(labels, edges)
 
 
 def random_mask(rng: random.Random, X: FinitePoset) -> SubsetMask:
@@ -120,15 +111,13 @@ def random_monotone_map(rng: random.Random, X: FinitePoset) -> MonotoneMap:
         image = [-1] * X.n
         ok = True
         for x in X.linext:
-            allowed = [
-                t
-                for t in range(X.n)
-                if all(X.leq[image[p]][t] for p in X.strict_below(x))
-            ]
+            allowed = (1 << X.n) - 1
+            for p in X.strict_below(x):
+                allowed &= X._up_int[image[p]]
             if not allowed:
                 ok = False
                 break
-            image[x] = rng.choice(allowed)
+            image[x] = rng.choice(tuple(_members(allowed)))
         if ok:
             f = MonotoneMap(X.space_id, tuple(image))
             assert is_monotone(X, f)

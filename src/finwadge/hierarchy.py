@@ -121,11 +121,13 @@ def _chain_table(X: FinitePoset, A: SubsetMask, starts_in: bool) -> tuple[list[i
     n = X.n
     best = [0] * n
     parent = [-1] * n
+    a = A.as_int()
     for x in X.linext:
-        if A.has(x) == starts_in:
+        inside = a >> x & 1
+        if inside == starts_in:
             best[x] = 1
         for y in X.strict_below(x):
-            if A.has(y) == A.has(x) or best[y] == 0:
+            if a >> y & 1 == inside or best[y] == 0:
                 continue
             if best[y] + 1 > best[x]:
                 best[x] = best[y] + 1

@@ -24,65 +24,60 @@ from .errors import (
 
 @dataclass(frozen=True)
 class SubsetMask:
-    """Membership vector over the elements of one fixed space."""
+    """Subset of one fixed space as an int bitmask: bit i is element i."""
 
     space_id: str
-    bits: tuple[bool, ...]
-
-    def __post_init__(self):
-        value = 0
-        for i, b in enumerate(self.bits):
-            if b:
-                value |= 1 << i
-        object.__setattr__(self, "_int", value)
-
-    def as_int(self) -> int:
-        return self._int
+    size: int
+    value: int
 
     @property
-    def size(self) -> int:
-        return len(self.bits)
+    def bits(self) -> tuple[bool, ...]:
+        """Membership vector, derived from the bitmask."""
+        return tuple(bool(self.value >> i & 1) for i in range(self.size))
+
+    def as_int(self) -> int:
+        return self.value
 
     def count(self) -> int:
-        return sum(self.bits)
+        return self.value.bit_count()
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(i for i, b in enumerate(self.bits) if b)
+        return tuple(_members(self.value))
 
     def has(self, index: int) -> bool:
-        return self.bits[index]
+        return bool(self.value >> index & 1)
 
     def is_empty(self) -> bool:
-        return self._int == 0
+        return self.value == 0
 
     def is_full(self) -> bool:
-        return self._int == (1 << len(self.bits)) - 1
+        return self.value == (1 << self.size) - 1
 
     def _check(self, other: "SubsetMask") -> None:
         if self.space_id != other.space_id:
             raise SpaceMismatch(f"masks belong to different spaces: {self.space_id} vs {other.space_id}")
 
     def complement(self) -> "SubsetMask":
-        return SubsetMask(self.space_id, tuple(not b for b in self.bits))
+        return SubsetMask(self.space_id, self.size, self.value ^ (1 << self.size) - 1)
 
     def union(self, other: "SubsetMask") -> "SubsetMask":
         self._check(other)
-        return SubsetMask(self.space_id, tuple(a or b for a, b in zip(self.bits, other.bits)))
+        return SubsetMask(self.space_id, self.size, self.value | other.value)
 
     def intersection(self, other: "SubsetMask") -> "SubsetMask":
         self._check(other)
-        return SubsetMask(self.space_id, tuple(a and b for a, b in zip(self.bits, other.bits)))
+        return SubsetMask(self.space_id, self.size, self.value & other.value)
 
     def difference(self, other: "SubsetMask") -> "SubsetMask":
         self._check(other)
-        return SubsetMask(self.space_id, tuple(a and not b for a, b in zip(self.bits, other.bits)))
+        return SubsetMask(self.space_id, self.size, self.value & ~other.value)
 
     def is_subset(self, other: "SubsetMask") -> bool:
         self._check(other)
-        return self._int & ~other._int == 0
+        return self.value & ~other.value == 0
 
     def bitstring(self) -> str:
-        return "".join("1" if b else "0" for b in self.bits)
+        return "".join("1" if self.value >> i & 1 else "0" for i in range(self.size))
 
 
 @dataclass(frozen=True)
@@ -125,24 +120,37 @@ class FinitePoset:
             raise DuplicateLabelError("element labels must be distinct")
         if len(self.leq) != n or any(len(row) != n for row in self.leq):
             raise ValueError("leq matrix shape does not match label count")
-        leq = self.leq
-        for i in range(n):
-            if not leq[i][i]:
+        up = tuple(sum(1 << j for j, b in enumerate(row) if b) for row in self.leq)
+        cover = []
+        for i, row in enumerate(up):
+            if not row >> i & 1:
                 raise ValueError("order must be reflexive")
-            for j in range(n):
-                if i != j and leq[i][j] and leq[j][i]:
+            strict = row & ~(1 << i)
+            implied = 0  # reached through some element strictly above i
+            for j in _members(strict):
+                if up[j] >> i & 1:
                     raise CycleError(f"antisymmetry violated on {self.labels[i]!r}, {self.labels[j]!r}")
-                if leq[i][j]:
-                    for k in range(n):
-                        if leq[j][k] and not leq[i][k]:
-                            raise ValueError("order must be transitive")
-        object.__setattr__(self, "cover", _transitive_reduction(leq))
-        object.__setattr__(self, "linext", _linear_extension(leq))
-        # bitmask caches for the search-heavy callers
-        up = tuple(_row_int([leq[i][j] for j in range(n)]) for i in range(n))
-        down = tuple(_row_int([leq[j][i] for j in range(n)]) for i in range(n))
+                if up[j] & ~row:
+                    raise ValueError("order must be transitive")
+                implied |= up[j] & ~(1 << j)
+            covers = strict & ~implied
+            cover.append(tuple(bool(covers >> j & 1) for j in range(n)))
+        down = [0] * n
+        for i, row in enumerate(up):
+            for j in _members(row):
+                down[j] |= 1 << i
+        linext: list[int] = []
+        remaining = (1 << n) - 1
+        while remaining:
+            # lowest-index element with nothing remaining strictly below it
+            x = next(i for i in _members(remaining) if down[i] & remaining == 1 << i)
+            linext.append(x)
+            remaining ^= 1 << x
+        object.__setattr__(self, "cover", tuple(cover))
+        object.__setattr__(self, "linext", tuple(linext))
+        # bit j of _up_int[i], and bit i of _down_int[j], is set iff i <= j
         object.__setattr__(self, "_up_int", up)
-        object.__setattr__(self, "_down_int", down)
+        object.__setattr__(self, "_down_int", tuple(down))
         object.__setattr__(self, "_index", {lab: i for i, lab in enumerate(self.labels)})
         fingerprint = hashlib.sha256(repr((self.labels, self.leq)).encode()).hexdigest()[:16]
         object.__setattr__(self, "space_id", fingerprint)
@@ -167,7 +175,7 @@ class FinitePoset:
         return self.leq[self.index(x)][self.index(y)]
 
     def strict_below(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j in range(self.n) if j != i and self.leq[j][i])
+        return tuple(_members(self._down_int[i] & ~(1 << i)))
 
     def hasse_edges(self) -> tuple[tuple[int, int], ...]:
         """Cover pairs (lower, upper), sorted by index."""
@@ -178,17 +186,18 @@ class FinitePoset:
     # -- mask constructors -----------------------------------------------
 
     def empty_mask(self) -> SubsetMask:
-        return SubsetMask(self.space_id, (False,) * self.n)
+        return SubsetMask(self.space_id, self.n, 0)
 
     def full_mask(self) -> SubsetMask:
-        return SubsetMask(self.space_id, (True,) * self.n)
+        return SubsetMask(self.space_id, self.n, (1 << self.n) - 1)
 
     def mask_from_indices(self, indices: Iterable[int]) -> SubsetMask:
-        chosen = set(indices)
-        for i in chosen:
+        value = 0
+        for i in set(indices):
             if not 0 <= i < self.n:
                 raise UnknownElement(f"index {i} out of range")
-        return SubsetMask(self.space_id, tuple(i in chosen for i in range(self.n)))
+            value |= 1 << i
+        return SubsetMask(self.space_id, self.n, value)
 
     def mask(self, names: Iterable[str]) -> SubsetMask:
         return self.mask_from_indices(self.index(name) for name in names)
@@ -204,10 +213,10 @@ class FinitePoset:
             values = [bool(b) for b in bits]
         if len(values) != self.n:
             raise ValueError(f"bit vector has length {len(values)}, expected {self.n}")
-        return SubsetMask(self.space_id, tuple(values))
+        return SubsetMask(self.space_id, self.n, sum(1 << i for i, b in enumerate(values) if b))
 
     def mask_from_int(self, value: int) -> SubsetMask:
-        return SubsetMask(self.space_id, tuple(bool(value >> i & 1) for i in range(self.n)))
+        return SubsetMask(self.space_id, self.n, value & (1 << self.n) - 1)
 
     def members(self, A: SubsetMask) -> tuple[str, ...]:
         self.check_mask(A)
@@ -216,7 +225,7 @@ class FinitePoset:
     def check_mask(self, A: SubsetMask) -> None:
         if A.space_id != self.space_id:
             raise SpaceMismatch("mask belongs to a different space")
-        if len(A.bits) != self.n:
+        if A.size != self.n:
             raise SpaceMismatch("mask length does not match the space")
 
     # -- topology --------------------------------------------------------
@@ -352,7 +361,8 @@ class FinitePoset:
         if not A.is_subset(carrier):
             raise SpaceMismatch("subset is not contained in the carrier of the subspace")
         sub = self.subspace(carrier)
-        return SubsetMask(sub.space_id, tuple(A.bits[i] for i in carrier.indices()))
+        value = sum(1 << k for k, i in enumerate(carrier.indices()) if A.has(i))
+        return SubsetMask(sub.space_id, sub.n, value)
 
 
 def build_poset(labels: Sequence[str], covers: Sequence[tuple[str, str]]) -> FinitePoset:
@@ -366,7 +376,7 @@ def build_poset(labels: Sequence[str], covers: Sequence[tuple[str, str]]) -> Fin
         raise DuplicateLabelError("element labels must be distinct")
     index = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
-    adj = [[i == j for j in range(n)] for i in range(n)]
+    up = [1 << i for i in range(n)]
     for pair in covers:
         lo, hi = (str(pair[0]), str(pair[1]))
         if lo not in index:
@@ -375,16 +385,12 @@ def build_poset(labels: Sequence[str], covers: Sequence[tuple[str, str]]) -> Fin
             raise UnknownElement(f"cover pair refers to unknown element {hi!r}")
         if lo == hi:
             raise CycleError(f"cover pair ({lo!r}, {hi!r}) is a loop")
-        adj[index[lo]][index[hi]] = True
+        up[index[lo]] |= 1 << index[hi]
     for k in range(n):
         for i in range(n):
-            if adj[i][k]:
-                row_k = adj[k]
-                row_i = adj[i]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
-    return FinitePoset(labels, tuple(tuple(row) for row in adj))
+            if up[i] >> k & 1:
+                up[i] |= up[k]
+    return FinitePoset(labels, tuple(tuple(bool(row >> j & 1) for j in range(n)) for row in up))
 
 
 def poset_isomorphic(X: FinitePoset, Y: FinitePoset) -> Optional[tuple[int, ...]]:
@@ -448,34 +454,9 @@ def _refined_colors(P: FinitePoset) -> tuple[int, ...]:
     return tuple(colors)
 
 
-def _transitive_reduction(leq: tuple[tuple[bool, ...], ...]) -> tuple[tuple[bool, ...], ...]:
-    n = len(leq)
-    cover = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j or not leq[i][j]:
-                continue
-            if not any(k != i and k != j and leq[i][k] and leq[k][j] for k in range(n)):
-                cover[i][j] = True
-    return tuple(tuple(row) for row in cover)
-
-
-def _linear_extension(leq: tuple[tuple[bool, ...], ...]) -> tuple[int, ...]:
-    n = len(leq)
-    remaining = set(range(n))
-    out: list[int] = []
-    while remaining:
-        ready = sorted(
-            i for i in remaining if all(j == i or j not in remaining for j in range(n) if leq[j][i])
-        )
-        out.append(ready[0])
-        remaining.remove(ready[0])
-    return tuple(out)
-
-
-def _row_int(row: Sequence[bool]) -> int:
-    value = 0
-    for i, b in enumerate(row):
-        if b:
-            value |= 1 << i
-    return value
+def _members(value: int) -> Iterator[int]:
+    """Indices of the set bits of value, lowest first."""
+    while value:
+        low = value & -value
+        yield low.bit_length() - 1
+        value ^= low

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import CapExceeded, ColorCountMismatch, SpaceMismatch
 from .hierarchy import classify, level_leq
@@ -47,7 +47,8 @@ class MonotoneMap:
     def preimage(self, B: SubsetMask) -> SubsetMask:
         if B.space_id != self.space_id:
             raise SpaceMismatch("mask belongs to a different space")
-        return SubsetMask(self.space_id, tuple(B.bits[t] for t in self.image))
+        value = sum(1 << x for x, t in enumerate(self.image) if B.has(t))
+        return SubsetMask(self.space_id, len(self.image), value)
 
     def compose(self, inner: "MonotoneMap") -> "MonotoneMap":
         """self after inner."""
@@ -77,10 +78,11 @@ class KPartition:
     @classmethod
     def from_subset(cls, A: SubsetMask) -> "KPartition":
         """Characteristic 2-partition of a subset (color 1 on the set)."""
-        return cls(A.space_id, 2, tuple(1 if b else 0 for b in A.bits))
+        return cls(A.space_id, 2, tuple(A.value >> i & 1 for i in range(A.size)))
 
     def color_class(self, color: int) -> SubsetMask:
-        return SubsetMask(self.space_id, tuple(c == color for c in self.colors))
+        value = sum(1 << i for i, c in enumerate(self.colors) if c == color)
+        return SubsetMask(self.space_id, len(self.colors), value)
 
     def colorstring(self) -> str:
         return "".join(str(c) for c in self.colors)
@@ -92,7 +94,9 @@ class KPartition:
         return KPartition(self.space_id, self.k, tuple(self.colors[t] for t in f.image))
 
 
-Item = Union[SubsetMask, KPartition]
+# not typing.Union: its process-wide cache would keep every re-imported copy
+# of the package alive
+Item = SubsetMask | KPartition
 
 
 def is_monotone(X: FinitePoset, f: "MonotoneMap | Sequence[int]") -> bool:
@@ -129,7 +133,7 @@ def wadge_reduces(
     if kind is ReducibilityKind.WADGE and not level_leq(classify(X, A), classify(X, B)):
         return None
     inside, outside = B.as_int(), B.complement().as_int()
-    return _first_map(X, [inside if a else outside for a in A.bits], kind)
+    return _first_map(X, [inside if A.has(x) else outside for x in range(X.n)], kind)
 
 
 def partition_reduces(X: FinitePoset, mu: KPartition, nu: KPartition) -> Optional[MonotoneMap]:
@@ -452,7 +456,7 @@ def degree_embedding_check(
     def to_sub(A: SubsetMask) -> SubsetMask:
         if not A.is_subset(Y):
             raise SpaceMismatch("sample subset is not contained in the retract")
-        return SubsetMask(sub.space_id, tuple(A.bits[i] for i in carrier))
+        return SubsetMask(sub.space_id, sub.n, sum(1 << k for k, i in enumerate(carrier) if A.has(i)))
 
     pairs = 0
     bad: list[tuple[SubsetMask, SubsetMask]] = []

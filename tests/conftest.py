@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from finwadge import FinitePoset, SubsetMask, build_poset
+from finwadge import CycleError, FinitePoset, SubsetMask, build_poset
 
 settings.register_profile(
     "ci",
@@ -107,6 +107,42 @@ def first_map(P: FinitePoset, allowed, monotone: bool):
             continue
         return tuple(image)
     return None
+
+
+def reference_order(labels, leq):
+    """(cover, linext) of the order matrix leq, by the O(n^3) definitions.
+
+    Validates like the FinitePoset constructor: the first bad pair (i, j) in
+    row-major order raises, with antisymmetry checked before transitivity.
+    """
+    n = len(leq)
+    for i in range(n):
+        if not leq[i][i]:
+            raise ValueError("order must be reflexive")
+        for j in range(n):
+            if i != j and leq[i][j] and leq[j][i]:
+                raise CycleError(f"antisymmetry violated on {labels[i]!r}, {labels[j]!r}")
+            if leq[i][j]:
+                for k in range(n):
+                    if leq[j][k] and not leq[i][k]:
+                        raise ValueError("order must be transitive")
+    cover = tuple(
+        tuple(
+            i != j and bool(leq[i][j])
+            and not any(k != i and k != j and leq[i][k] and leq[k][j] for k in range(n))
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    remaining = set(range(n))
+    linext = []
+    while remaining:
+        ready = sorted(
+            i for i in remaining if all(j == i or j not in remaining for j in range(n) if leq[j][i])
+        )
+        linext.append(ready[0])
+        remaining.remove(ready[0])
+    return cover, tuple(linext)
 
 
 def brute_reduces(P: FinitePoset, A: SubsetMask, B: SubsetMask, maps=None) -> bool:

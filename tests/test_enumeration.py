@@ -48,6 +48,20 @@ def test_random_poset_is_reproducible():
     assert a.leq == b.leq
 
 
+def test_seeded_generators_are_pinned():
+    # values of the seeded generators; a change to the order closure or the
+    # draw order would silently change every seeded test input
+    expected = {
+        0: ((0, 2), (0, 3), (1, 2), (2, 4), (3, 5), (4, 6), (4, 7), (5, 6)),
+        1: ((0, 3), (0, 4), (1, 2), (2, 7), (3, 5), (3, 7)),
+        2: ((0, 1), (1, 2)),
+    }
+    for seed, edges in expected.items():
+        assert random_poset(random.Random(seed), 8).hasse_edges() == edges
+    P = random_poset(random.Random(1), 8)
+    assert random_monotone_map(random.Random(7), P).image == (0, 3, 3, 0, 5, 5, 1, 3)
+
+
 def test_random_monotone_maps_are_monotone():
     rng = random.Random(99)
     for _ in range(50):

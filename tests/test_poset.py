@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given
 
@@ -7,6 +10,7 @@ from finwadge import (
     CycleError,
     DuplicateLabelError,
     EmptySubspace,
+    FinitePoset,
     SpaceMismatch,
     UnknownElement,
     antichain,
@@ -15,9 +19,9 @@ from finwadge import (
     fan,
     poset_isomorphic,
 )
-from finwadge.enumeration import all_posets
+from finwadge.enumeration import all_posets, random_poset
 
-from conftest import brute_opens, posets, poset_with_mask
+from conftest import brute_opens, posets, poset_with_mask, reference_order
 
 
 def test_single_point():
@@ -90,8 +94,87 @@ def test_space_mismatch():
     other = chain(4)
     with pytest.raises(SpaceMismatch):
         L3.is_open(other.full_mask())
+    A, B = L3.mask(["0"]), other.mask(["0"])
+    for op in (A.union, A.intersection, A.difference, A.is_subset):
+        with pytest.raises(SpaceMismatch):
+            op(B)
+    # same size, different space
     with pytest.raises(SpaceMismatch):
-        L3.mask(["0"]).union(other.mask(["0"]))
+        A.union(antichain(3).mask(["a0"]))
+
+
+def _order_matrices():
+    """Every bool matrix with n <= 3, every reflexive 4x4 one, all_posets(6), random posets."""
+    for n in range(4):
+        for flat in product((False, True), repeat=n * n):
+            yield tuple(f"e{i}" for i in range(n)), tuple(flat[i * n : (i + 1) * n] for i in range(n))
+    for off_diagonal in product((False, True), repeat=12):
+        rest = iter(off_diagonal)
+        yield ("e0", "e1", "e2", "e3"), tuple(tuple(i == j or next(rest) for j in range(4)) for i in range(4))
+    for P in all_posets(6):
+        yield P.labels, P.leq
+    for seed in range(200):
+        rng = random.Random(seed)
+        P = random_poset(rng, rng.randint(6, 40))
+        yield P.labels, P.leq
+
+
+def _outcome(build, labels, leq):
+    try:
+        return build(labels, leq)
+    except (ValueError, CycleError) as e:
+        return type(e), str(e)
+
+
+def _cover_and_linext(labels, leq):
+    P = FinitePoset(labels, leq)
+    return P.cover, P.linext
+
+
+def test_constructor_matches_reference_oracle():
+    outcomes = set()
+    for labels, leq in _order_matrices():
+        expected = _outcome(reference_order, labels, leq)
+        assert _outcome(_cover_and_linext, labels, leq) == expected, (labels, leq)
+        outcomes.add(expected[0] if isinstance(expected[0], type) else "ok")
+    # every rejection path was exercised
+    assert outcomes == {"ok", ValueError, CycleError}
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_mask_semantics_match_bool_tuples(n):
+    types = all_posets(n) if n else [chain(0)]
+    for P in types:
+        refs = list(product((False, True), repeat=n))
+        masks = [P.mask_from_bits(r) for r in refs]
+        for ra, A in zip(refs, masks):
+            idx = tuple(i for i, a in enumerate(ra) if a)
+            assert A.bits == ra
+            assert A.bitstring() == "".join("1" if a else "0" for a in ra)
+            assert A.indices() == idx
+            assert A.count() == sum(ra)
+            assert A.complement().bits == tuple(not a for a in ra)
+            closure = tuple(any(ra[j] and P.leq[i][j] for j in range(n)) for i in range(n))
+            interior = tuple(all(ra[j] for j in range(n) if P.leq[i][j]) for i in range(n))
+            assert P.closure(A).bits == closure
+            assert P.interior(A).bits == interior
+            assert P.boundary(A).bits == tuple(c and not o for c, o in zip(closure, interior))
+            same = [
+                P.mask_from_int(A.as_int()),
+                P.mask_from_bits(A.bitstring()),
+                P.mask_from_indices(idx),
+                P.mask(P.labels[i] for i in idx),
+                # bits at positions >= n are dropped
+                P.mask_from_int(A.as_int() | 1 << n | 1 << (n + 3)),
+            ]
+            assert all(M == A and hash(M) == hash(A) for M in same)
+            for rb, B in zip(refs, masks):
+                assert A.union(B).bits == tuple(a or b for a, b in zip(ra, rb))
+                assert A.intersection(B).bits == tuple(a and b for a, b in zip(ra, rb))
+                assert A.difference(B).bits == tuple(a and not b for a, b in zip(ra, rb))
+                assert A.is_subset(B) == all(b for a, b in zip(ra, rb) if a)
+                assert (A == B) == (ra == rb)
+        assert P.mask_from_int(-1) == P.full_mask()
 
 
 def test_enumerate_opens_counts():

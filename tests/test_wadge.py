@@ -413,3 +413,26 @@ def test_random_retractions_embed():
         report = degree_embedding_check(P, Y, r, sample)
         assert report.exact
         found += 1
+
+
+def test_reimported_package_is_released():
+    # a host that re-imports finwadge (a benchmark pass, a reload) must not
+    # keep the earlier copy alive through a process-wide cache
+    import gc
+    import importlib
+    import sys
+    import weakref
+
+    ours = {name: mod for name, mod in sys.modules.items() if name.split(".")[0] == "finwadge"}
+    try:
+        for name in ours:
+            del sys.modules[name]
+        fresh = importlib.import_module("finwadge")
+        ref = weakref.ref(fresh.SubsetMask)
+        del fresh
+    finally:
+        for name in [m for m in sys.modules if m.split(".")[0] == "finwadge"]:
+            del sys.modules[name]
+        sys.modules.update(ours)
+    gc.collect()
+    assert ref() is None
