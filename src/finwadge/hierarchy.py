@@ -122,11 +122,12 @@ def _chain_table(X: FinitePoset, A: SubsetMask, starts_in: bool) -> tuple[list[i
     best = [0] * n
     parent = [-1] * n
     a = A.as_int()
+    preds = X._strict_below
     for x in X.linext:
         inside = a >> x & 1
         if inside == starts_in:
             best[x] = 1
-        for y in X.strict_below(x):
+        for y in preds[x]:
             if a >> y & 1 == inside or best[y] == 0:
                 continue
             if best[y] + 1 > best[x]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -175,7 +176,26 @@ class FinitePoset:
         return self.leq[self.index(x)][self.index(y)]
 
     def strict_below(self, i: int) -> tuple[int, ...]:
-        return tuple(_members(self._down_int[i] & ~(1 << i)))
+        return self._strict_below[i]
+
+    # Neighbour lists, built on first use (construction does not pay for
+    # them) and shared by every later search on this poset.
+
+    @cached_property
+    def _strict_below(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(_members(row & ~(1 << i))) for i, row in enumerate(self._down_int))
+
+    @cached_property
+    def _strict_above(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(_members(row & ~(1 << i))) for i, row in enumerate(self._up_int))
+
+    @cached_property
+    def _cover_above(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(j for j, b in enumerate(row) if b) for row in self.cover)
+
+    @cached_property
+    def _cover_below(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(i for i, row in enumerate(self.cover) if row[j]) for j in range(self.n))
 
     def hasse_edges(self) -> tuple[tuple[int, int], ...]:
         """Cover pairs (lower, upper), sorted by index."""
@@ -293,19 +313,18 @@ class FinitePoset:
 
         In a finite Alexandrov space a point is isolated within a subspace
         iff it is maximal there, so each stage drops the current maximal
-        elements.
+        elements, and stage k is the set of elements of rank >= k.
         """
-        stages = [self.full_mask()]
-        current = set(range(self.n))
-        while current:
-            maximal = {i for i in current if all(j == i or j not in current for j in range(self.n) if self.leq[i][j])}
-            current = current - maximal
-            stages.append(self.mask_from_indices(current))
         ranks = [0] * self.n
         for i in reversed(self.linext):
-            above = [ranks[j] for j in range(self.n) if j != i and self.leq[i][j]]
-            ranks[i] = 1 + max(above) if above else 0
-        return DerivativeTrace(tuple(stages), tuple(ranks))
+            above = self._cover_above[i]
+            ranks[i] = 1 + max(ranks[j] for j in above) if above else 0
+        stages = [0] * (max(ranks) + 2 if ranks else 1)
+        for i, r in enumerate(ranks):
+            stages[r] |= 1 << i
+        for k in range(len(stages) - 2, -1, -1):
+            stages[k] |= stages[k + 1]
+        return DerivativeTrace(tuple(map(self.mask_from_int, stages)), tuple(ranks))
 
     def dimension(self) -> int:
         """Inductive dimension, -1 for the empty space.
@@ -314,33 +333,49 @@ class FinitePoset:
         only open V with x in V inside that up-set, so the neighborhood
         quantifier collapses to the single boundary test
         dim(X) = 1 + max_x dim(boundary of up(x)); boundaries are proper
-        subspaces, so the recursion terminates.
+        subspaces, so the descent terminates.  It runs on an explicit
+        stack of frames [subspace, members not yet tried, best so far,
+        maximal elements], with one memo entry per subspace reached.
         """
+        up, down = self._up_int, self._down_int
+        memo: dict[int, int] = {0: -1}
+
+        def frame(subset: int) -> list[int]:
+            tops = 0
+            for i in _members(subset):
+                if up[i] & subset == 1 << i:
+                    tops |= 1 << i
+            return [subset, subset, 0, tops]
+
         full = (1 << self.n) - 1
-        memo: dict[int, int] = {}
-
-        def dim_of(subset: int) -> int:
-            if subset == 0:
-                return -1
-            if subset in memo:
-                return memo[subset]
-            best = 0
-            for i in range(self.n):
-                if not subset >> i & 1:
-                    continue
-                up = self._up_int[i] & subset
+        stack = [frame(full)] if full else []
+        while stack:
+            top = stack[-1]
+            subset, untried, best, tops = top
+            pending = None
+            while untried:
+                low = untried & -untried
+                x = low.bit_length() - 1
+                opened = up[x] & subset
+                # the closure of opened within subset: the down-sets of the
+                # maximal elements of subset above x cover it
                 cl = 0
-                rest = up
-                while rest:
-                    j = (rest & -rest).bit_length() - 1
-                    cl |= self._down_int[j] & subset
-                    rest &= rest - 1
-                boundary = cl & ~up
-                best = max(best, dim_of(boundary) + 1)
-            memo[subset] = best
-            return best
-
-        return dim_of(full)
+                for m in _members(opened & tops):
+                    cl |= down[m]
+                boundary = cl & subset & ~opened
+                d = memo.get(boundary)
+                if d is None:
+                    pending = boundary
+                    break
+                best = max(best, d + 1)
+                untried ^= low
+            if pending is None:
+                memo[subset] = best
+                stack.pop()
+            else:
+                top[1], top[2] = untried, best
+                stack.append(frame(pending))
+        return memo[full]
 
     # -- subspaces ---------------------------------------------------------
 

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .errors import CapExceeded, ColorCountMismatch, SpaceMismatch
-from .hierarchy import classify, level_leq
+from .hierarchy import DiffLevel, classify, level_leq
 from .poset import FinitePoset, SubsetMask
 
 
@@ -132,8 +132,7 @@ def wadge_reduces(
     X.check_mask(B)
     if kind is ReducibilityKind.WADGE and not level_leq(classify(X, A), classify(X, B)):
         return None
-    inside, outside = B.as_int(), B.complement().as_int()
-    return _first_map(X, [inside if A.has(x) else outside for x in range(X.n)], kind)
+    return _first_map(X, _domains(X, A, B), kind)
 
 
 def partition_reduces(X: FinitePoset, mu: KPartition, nu: KPartition) -> Optional[MonotoneMap]:
@@ -148,18 +147,33 @@ def partition_reduces(X: FinitePoset, mu: KPartition, nu: KPartition) -> Optiona
 def _partition_reduces(
     X: FinitePoset, mu: KPartition, nu: KPartition, kind: ReducibilityKind
 ) -> Optional[MonotoneMap]:
+    _check_partitions(X, mu, nu)
+    if kind is ReducibilityKind.WADGE:
+        for c in range(mu.k):
+            if not level_leq(classify(X, mu.color_class(c)), classify(X, nu.color_class(c))):
+                return None
+    return _first_map(X, _domains(X, mu, nu), kind)
+
+
+def _check_partitions(X: FinitePoset, mu: KPartition, nu: KPartition) -> None:
     if mu.space_id != X.space_id or nu.space_id != X.space_id:
         raise SpaceMismatch("partition belongs to a different space")
     if len(mu.colors) != X.n or len(nu.colors) != X.n:
         raise SpaceMismatch("partition length does not match the space")
     if mu.k != nu.k:
         raise ColorCountMismatch(f"color counts differ: {mu.k} vs {nu.k}")
-    if kind is ReducibilityKind.WADGE:
-        for c in range(mu.k):
-            if not level_leq(classify(X, mu.color_class(c)), classify(X, nu.color_class(c))):
-                return None
-    color_class = [nu.color_class(c).as_int() for c in range(nu.k)]
-    return _first_map(X, [color_class[c] for c in mu.colors], kind)
+
+
+def _domains(X: FinitePoset, a: Item, b: Item) -> list[int]:
+    """Allowed targets of each x for a reduction of item a to item b."""
+    if isinstance(a, SubsetMask):
+        inside = b.value
+        outside = inside ^ (1 << X.n) - 1
+        return [inside if a.value >> x & 1 else outside for x in range(X.n)]
+    classes = [0] * b.k
+    for x, c in enumerate(b.colors):
+        classes[c] |= 1 << x
+    return [classes[c] for c in a.colors]
 
 
 def _first_map(
@@ -182,36 +196,86 @@ def _first_map(
 def _search_map(X: FinitePoset, domains: Sequence[int]) -> Optional[tuple[int, ...]]:
     """First monotone map with f(x) in the bitmask domains[x], or None.
 
-    Depth-first along X.linext with an explicit stack: the candidates at
-    each depth are the domain intersected with the up-sets of the images
-    of the strict predecessors, tried lowest index first.  The result is
-    therefore the first solution in linear-extension order.
+    Two prunings remove only values that belong to no solution:
+    - at the root, arc consistency over the cover edges (Mackworth's
+      AC-3): for each cover y < z, f(z) needs a support in the up-closure
+      of dom[y] and f(y) one in the down-closure of dom[z];
+    - forward checking along X.linext: setting f(x) = t narrows the
+      domain of every strict successor of x to the up-set of t, and a
+      trail of (element, old domain) pairs undoes that on backtracking.
+    The search is depth-first along X.linext with an explicit stack, and
+    the candidates at each depth are the current domain, tried lowest
+    index first.  The result is therefore the first solution in
+    linear-extension order, as without the prunings.
     """
     n = X.n
     if n == 0:
         return ()
+    up, down = X._up_int, X._down_int
+    cover_above, cover_below = X._cover_above, X._cover_below
+    dom = list(domains)
+    pending = (1 << n) - 1  # elements whose domain the revision has to propagate
+    while pending:
+        low = pending & -pending
+        pending ^= low
+        y = low.bit_length() - 1
+        d = dom[y]
+        if not d:
+            return None
+        reach_up = reach_down = 0
+        while d:
+            v = (d & -d).bit_length() - 1
+            reach_up |= up[v]
+            reach_down |= down[v]
+            d &= d - 1
+        for neighbours, reach in ((cover_above[y], reach_up), (cover_below[y], reach_down)):
+            for z in neighbours:
+                narrowed = dom[z] & reach
+                if narrowed != dom[z]:
+                    if not narrowed:
+                        return None
+                    dom[z] = narrowed
+                    pending |= 1 << z
     order = X.linext
-    up = X._up_int
-    preds = [X.strict_below(x) for x in order]
+    above = X._strict_above
     image = [0] * n
     untried = [0] * n
-    untried[0] = domains[order[0]]
+    marks = [0] * n  # trail length before the value at each depth was tried
+    trail: list[tuple[int, int]] = []
+    untried[0] = dom[order[0]]
     pos = 0
     while pos >= 0:
+        mark = marks[pos]
+        while len(trail) > mark:
+            z, d = trail.pop()
+            dom[z] = d
         candidates = untried[pos]
         if not candidates:
             pos -= 1
             continue
         low = candidates & -candidates
         untried[pos] = candidates ^ low
-        image[order[pos]] = low.bit_length() - 1
+        x = order[pos]
+        t = low.bit_length() - 1
+        image[x] = t
+        allowed = up[t]
+        wiped = False
+        for z in above[x]:
+            d = dom[z]
+            if d & ~allowed:
+                trail.append((z, d))
+                d &= allowed
+                dom[z] = d
+                if not d:
+                    wiped = True
+                    break
+        if wiped:
+            continue
         pos += 1
         if pos == n:
             return tuple(image)
-        candidates = domains[order[pos]]
-        for p in preds[pos]:
-            candidates &= up[image[p]]
-        untried[pos] = candidates
+        untried[pos] = dom[order[pos]]
+        marks[pos] = len(trail)
     return None
 
 
@@ -300,37 +364,67 @@ def degree_structure(
 ) -> DegreeStructure:
     """Quotient order of the items under the chosen reducibility.
 
-    Pairwise tests run against class representatives only: once an item
-    is known equivalent to an existing representative it joins that class
-    and contributes no further searches.
+    Each item gets one level signature: its difference level for a
+    subset, the tuple of its color classes' levels for a partition.
+    Mutual WADGE reducibility implies equal signatures, so an item looks
+    for its home class only among representatives with an equal one, and
+    the first of them it is equivalent to takes it in.  Only an item that
+    opens a new class is related to every representative, and the
+    signatures pre-filter those searches as in ``wadge_reduces``.
     """
     items = tuple(items)
     if items:
         first = type(items[0])
         if any(type(it) is not first for it in items):
             raise TypeError("items must be all subsets or all partitions")
+    subsets = bool(items) and isinstance(items[0], SubsetMask)
+    for item in items:
+        if subsets:
+            X.check_mask(item)
+        else:
+            _check_partitions(X, item, items[0])
+    wadge = kind is ReducibilityKind.WADGE
+    levels: dict[int, DiffLevel] = {}
+
+    def level(mask: SubsetMask) -> DiffLevel:
+        if mask.value not in levels:
+            levels[mask.value] = classify(X, mask)
+        return levels[mask.value]
+
+    def signature(item: Item) -> tuple[DiffLevel, ...]:
+        if not wadge:
+            return ()
+        if subsets:
+            return (level(item),)
+        return tuple(level(item.color_class(c)) for c in range(item.k))
+
+    def search(a: Item, b: Item) -> bool:
+        return _first_map(X, _domains(X, a, b), kind) is not None
+
+    def below(a: Item, sa: tuple, b: Item, sb: tuple) -> bool:
+        return all(map(level_leq, sa, sb)) and search(a, b)
+
+    sigs = [signature(item) for item in items]
     reps: list[int] = []
     classes: list[list[int]] = []
+    by_signature: dict[tuple, list[int]] = {}
     le: dict[tuple[int, int], bool] = {}
     for idx, item in enumerate(items):
-        relations: list[tuple[int, bool, bool]] = []
-        home: Optional[int] = None
-        for ci, rep in enumerate(reps):
-            fwd = reduces(X, item, items[rep], kind) is not None
-            bwd = reduces(X, items[rep], item, kind) is not None
-            if fwd and bwd:
-                home = ci
-                break
-            relations.append((ci, fwd, bwd))
+        peers = by_signature.setdefault(sigs[idx], [])
+        home = next(
+            (ci for ci in peers if search(item, items[reps[ci]]) and search(items[reps[ci]], item)),
+            None,
+        )
         if home is not None:
             classes[home].append(idx)
             continue
         ci_new = len(reps)
+        for cj, rep in enumerate(reps):
+            le[(ci_new, cj)] = below(item, sigs[idx], items[rep], sigs[rep])
+            le[(cj, ci_new)] = below(items[rep], sigs[rep], item, sigs[idx])
         reps.append(idx)
         classes.append([idx])
-        for cj, fwd, bwd in relations:
-            le[(ci_new, cj)] = fwd
-            le[(cj, ci_new)] = bwd
+        peers.append(ci_new)
     k = len(reps)
     strict = sorted((i, j) for i in range(k) for j in range(k) if i != j and le.get((i, j), False))
     strict_set = set(strict)
@@ -345,13 +439,15 @@ def degree_structure(
     ]
     hasse.sort(key=lambda e: (_item_key(items[reps[e[0]]]), _item_key(items[reps[e[1]]])))
     slo: list[tuple[int, int]] = []
-    if items and isinstance(items[0], SubsetMask):
+    if subsets:
         for i in range(k):
             for j in range(k):
                 if i == j or (i, j) in strict_set:
                     continue
                 comp = items[reps[j]].complement()
-                if reduces(X, comp, items[reps[i]], kind) is None:
+                # a complement's level swaps the two ranks
+                comp_sig = tuple(DiffLevel(s.pi_rank, s.sigma_rank) for s in sigs[reps[j]])
+                if not below(comp, comp_sig, items[reps[i]], sigs[reps[i]]):
                     slo.append((i, j))
     incomparable = [
         [

@@ -5,7 +5,14 @@ from itertools import product
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from finwadge import CycleError, FinitePoset, SubsetMask, build_poset
+from finwadge import CycleError, FinitePoset, SubsetMask, build_poset, classify, level_leq
+from finwadge.wadge import (
+    DegreeStructure,
+    Diagnostics,
+    ReducibilityKind,
+    _item_key,
+    _max_clique,
+)
 
 settings.register_profile(
     "ci",
@@ -143,6 +150,128 @@ def reference_order(labels, leq):
         linext.append(ready[0])
         remaining.remove(ready[0])
     return cover, tuple(linext)
+
+
+def reference_search_map(P: FinitePoset, domains):
+    """First monotone map with f(x) in domains[x], by unpruned backtracking.
+
+    Depth-first along P.linext; the candidates at each depth are the
+    domain intersected with the up-sets of the images of the strict
+    predecessors, tried lowest index first.  Order data is read from
+    P.leq, not from the poset's cached index structures.
+    """
+    n = P.n
+    if n == 0:
+        return ()
+    order = P.linext
+    up = [sum(1 << j for j in range(n) if P.leq[i][j]) for i in range(n)]
+    preds = [[p for p in range(n) if p != x and P.leq[p][x]] for x in order]
+    image = [0] * n
+    untried = [0] * n
+    untried[0] = domains[order[0]]
+    pos = 0
+    while pos >= 0:
+        candidates = untried[pos]
+        if not candidates:
+            pos -= 1
+            continue
+        low = candidates & -candidates
+        untried[pos] = candidates ^ low
+        image[order[pos]] = low.bit_length() - 1
+        pos += 1
+        if pos == n:
+            return tuple(image)
+        candidates = domains[order[pos]]
+        for p in preds[pos]:
+            candidates &= up[image[p]]
+        untried[pos] = candidates
+    return None
+
+
+def reference_domains(P: FinitePoset, a, b):
+    """Allowed targets of each x for a reduction of item a to item b."""
+    if isinstance(a, SubsetMask):
+        return [b.value if a.has(x) else b.complement().value for x in range(P.n)]
+    return [b.color_class(c).value for c in a.colors]
+
+
+def reference_reduces(P: FinitePoset, a, b, kind) -> bool:
+    """One reduction test with its own classify pre-filter on every call."""
+    domains = reference_domains(P, a, b)
+    if kind is ReducibilityKind.ALL_FUNCTIONS:
+        return all(domains)
+    if isinstance(a, SubsetMask):
+        pairs = [(a, b)]
+    else:
+        pairs = [(a.color_class(c), b.color_class(c)) for c in range(a.k)]
+    if not all(level_leq(classify(P, x), classify(P, y)) for x, y in pairs):
+        return False
+    return reference_search_map(P, domains) is not None
+
+
+def reference_degree_structure(P: FinitePoset, items, kind=ReducibilityKind.WADGE) -> DegreeStructure:
+    """Quotient by pairwise tests of each item against every representative.
+
+    An item is compared in both directions with each representative in
+    turn and joins the first one it is equivalent to; otherwise it opens
+    a new class with the relations just computed.
+    """
+    items = tuple(items)
+    reps: list[int] = []
+    classes: list[list[int]] = []
+    le: dict[tuple[int, int], bool] = {}
+    for idx, item in enumerate(items):
+        relations = []
+        home = None
+        for ci, rep in enumerate(reps):
+            fwd = reference_reduces(P, item, items[rep], kind)
+            bwd = reference_reduces(P, items[rep], item, kind)
+            if fwd and bwd:
+                home = ci
+                break
+            relations.append((ci, fwd, bwd))
+        if home is not None:
+            classes[home].append(idx)
+            continue
+        ci_new = len(reps)
+        reps.append(idx)
+        classes.append([idx])
+        for cj, fwd, bwd in relations:
+            le[(ci_new, cj)] = fwd
+            le[(cj, ci_new)] = bwd
+    k = len(reps)
+    strict = sorted((i, j) for i in range(k) for j in range(k) if i != j and le.get((i, j), False))
+    strict_set = set(strict)
+    hasse = [
+        (i, j)
+        for (i, j) in strict
+        if not any((i, m) in strict_set and (m, j) in strict_set for m in range(k))
+    ]
+    hasse.sort(key=lambda e: (_item_key(items[reps[e[0]]]), _item_key(items[reps[e[1]]])))
+    slo = []
+    if items and isinstance(items[0], SubsetMask):
+        for i in range(k):
+            for j in range(k):
+                if i == j or (i, j) in strict_set:
+                    continue
+                if not reference_reduces(P, items[reps[j]].complement(), items[reps[i]], kind):
+                    slo.append((i, j))
+    incomparable = [
+        [i != j and (i, j) not in strict_set and (j, i) not in strict_set for j in range(k)]
+        for i in range(k)
+    ]
+    return DegreeStructure(
+        items=items,
+        kind=kind,
+        classes=tuple(tuple(c) for c in classes),
+        representatives=tuple(reps),
+        strict_order=tuple(strict),
+        hasse=tuple(hasse),
+        diagnostics=Diagnostics(
+            max_antichain=_max_clique(incomparable) if k else 0,
+            slo_violations=tuple(slo),
+        ),
+    )
 
 
 def brute_reduces(P: FinitePoset, A: SubsetMask, B: SubsetMask, maps=None) -> bool:

@@ -48,6 +48,18 @@ def test_space_empty_document(capsys, tmp_path):
     assert json.loads(out)["dimension"] == -1
 
 
+def test_space_deep_chain_has_no_recursion_limit(capsys, tmp_path):
+    # index 0 is the top, so every boundary in the dimension descent is
+    # reached first from the largest one
+    n = 1100
+    path = tmp_path / "deep.json"
+    names = [f"x{i}" for i in range(n)]
+    path.write_text(json.dumps({"elements": names, "covers": [[names[i + 1], names[i]] for i in range(n - 1)]}))
+    code, out = run(capsys, "space", str(path))
+    assert code == 0
+    assert json.loads(out) == {"dimension": n - 1, "elements": n, "open_sets": "capped", "scattered_rank": n}
+
+
 def test_space_cyclic_document_exits_1(capsys, tmp_path):
     path = tmp_path / "cyc.json"
     path.write_text('{"elements": ["a", "b"], "covers": [["a", "b"], ["b", "a"]]}')

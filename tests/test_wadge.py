@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given
@@ -27,13 +28,23 @@ from finwadge import (
 from finwadge.enumeration import (
     all_posets,
     random_mask,
+    random_partition,
     random_poset,
     random_retraction,
 )
 from finwadge.verify import level_degree_findings
-from finwadge.wadge import all_subsets, reduces
+from finwadge.wadge import _search_map, all_subsets, reduces
 
-from conftest import all_monotone_maps, brute_reduces, first_map, poset_with_two_masks
+from conftest import (
+    all_monotone_maps,
+    brute_reduces,
+    first_map,
+    poset_with_two_masks,
+    reference_degree_structure,
+    reference_domains,
+    reference_reduces,
+    reference_search_map,
+)
 
 
 def test_is_monotone_examples(small_poset_zoo):
@@ -436,3 +447,92 @@ def test_reimported_package_is_released():
         sys.modules.update(ours)
     gc.collect()
     assert ref() is None
+
+
+def _random_domains(rng: random.Random, n: int) -> list[int]:
+    full = (1 << n) - 1
+    domains = []
+    for _ in range(n):
+        r = rng.random()
+        if r < 0.04:
+            domains.append(0)
+        elif r < 0.3:
+            domains.append(1 << rng.randrange(n))
+        elif r < 0.45:
+            domains.append(full)
+        else:
+            domains.append(rng.getrandbits(n))
+    return domains
+
+
+def test_search_map_matches_reference_oracle():
+    """The pruned kernel returns exactly what unpruned backtracking returns."""
+    rng = random.Random(20)
+    posets = [P for n in range(1, 6) for P in all_posets(n)]
+    posets += [random_poset(rng, rng.randint(6, 12)) for _ in range(50)]
+    found = {True: 0, False: 0}
+    for P in posets:
+        for _ in range(30):
+            if rng.random() < 0.5:
+                domains = _random_domains(rng, P.n)
+            else:  # a subset reduction's domains
+                A, B = random_mask(rng, P), random_mask(rng, P)
+                domains = reference_domains(P, A, B)
+            want = reference_search_map(P, domains)
+            assert _search_map(P, domains) == want
+            found[want is not None] += 1
+    assert min(found.values()) > 500
+
+
+@pytest.mark.parametrize("case", ["wadge-n5", "any-and-partitions-n4", "fans", "random-6-8"])
+def test_degree_structure_matches_reference_oracle(case):
+    """Classes, representatives, order, Hasse diagram and diagnostics."""
+    rng = random.Random(f"quotient-{case}")
+    runs = []
+    if case == "wadge-n5":
+        for n in range(1, 6):
+            runs += [(P, all_subsets(P), ReducibilityKind.WADGE) for P in all_posets(n)]
+    elif case == "any-and-partitions-n4":
+        for n in range(1, 5):
+            for P in all_posets(n):
+                runs.append((P, all_subsets(P), ReducibilityKind.ALL_FUNCTIONS))
+                parts = [random_partition(rng, P, 3) for _ in range(30)]
+                runs += [(P, parts, kind) for kind in ReducibilityKind]
+    elif case == "fans":
+        runs = [(F, all_subsets(F), ReducibilityKind.WADGE) for F in (fan(1).space, fan(2).space)]
+    else:
+        for _ in range(20):
+            P = random_poset(rng, rng.randint(6, 8))
+            runs.append((P, all_subsets(P), ReducibilityKind.WADGE))
+    for P, items, kind in runs:
+        assert degree_structure(P, items, kind) == reference_degree_structure(P, items, kind)
+
+
+def test_fan3_quotient_is_decided():
+    X = fan(3).space
+    items = all_subsets(X, cap=12)
+    D = degree_structure(X, items)
+    assert [len(c) for c in D.classes] == [1, 120, 120, 615, 615, 840, 840, 408, 408, 64, 64, 1]
+    assert sum(map(len, D.classes)) == 4096
+    assert len(D.strict_order) == 60
+    assert D.diagnostics.max_antichain == 2 and not D.diagnostics.slo_violations
+    for members, rep in zip(D.classes, D.representatives):
+        R = items[rep]
+        for idx in members:
+            for src, dst in ((items[idx], R), (R, items[idx])):
+                f = wadge_reduces(X, src, dst)
+                assert f is not None and is_monotone(X, f) and f.preimage(dst) == src
+    reps = [items[r] for r in D.representatives]
+    strict = set(D.strict_order)
+    for i, j in permutations(range(D.class_count), 2):
+        found = reference_reduces(X, reps[i], reps[j], ReducibilityKind.WADGE)
+        assert found == ((i, j) in strict)
+
+
+def test_slow_fan_pair_has_witness():
+    """A fan(10) pair whose unpruned search ran for seconds."""
+    X = fan(10).space
+    A = X.mask_from_int(219781402680744741207)
+    B = X.mask_from_int(169575656041065458280)
+    f = wadge_reduces(X, A, B)
+    assert f is not None and is_monotone(X, f) and f.preimage(B) == A
