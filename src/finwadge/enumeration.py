@@ -2,10 +2,12 @@
 
 Posets are enumerated up to isomorphism by repeatedly attaching a new
 maximal element above each order ideal of a smaller poset; duplicates
-are removed through a canonical form (minimal strict-order encoding over
-all permutations, with elements pre-grouped by refinement colors).  The
-known unlabeled counts 1, 2, 5, 16, 63 for sizes 1..5 serve as a
-self-test.
+are removed through a canonical form: the minimal strict-order encoding
+over the relabellings that sort the refinement colours, which are the
+products of the permutations of each colour class.  Candidates are keyed
+on int rows, and a poset is built only for the first candidate of each
+type.  The known unlabeled counts 1, 2, 5, 16, 63, 318, 2045 for sizes
+1..7 serve as a self-test.
 
 The "random" generators take an explicit seeded Random so every consumer
 is reproducible; the package never draws from global randomness.
@@ -14,53 +16,101 @@ is reproducible; the package never draws from global randomness.
 from __future__ import annotations
 
 import random
-from itertools import permutations
-from typing import Optional
+from itertools import permutations, product
+from typing import Optional, Sequence
 
-from .poset import FinitePoset, SubsetMask, _members, _refined_colors, build_poset
+from .poset import FinitePoset, SubsetMask, _bool_row, _members, _refine, _refined_colors, build_poset
 from .wadge import KPartition, MonotoneMap, _search_map, is_monotone
 
-POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
+POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045}
 
 
 def canonical_key(P: FinitePoset) -> tuple[int, ...]:
     """Isomorphism-invariant encoding: minimal flattened strict order.
 
-    Permutations are restricted to those sorting the refinement colors,
-    which keeps the search tiny at the sizes this module targets.
+    The minimum is taken over the relabellings that sort the refinement
+    colours, i.e. over the products of the permutations of each colour
+    class, not over all n! permutations.
     """
     n = P.n
-    colors = _refined_colors(P)
-    by_color = sorted(range(n), key=lambda i: (colors[i], i))
-    sorted_colors = [colors[i] for i in by_color]
-    best: Optional[tuple[int, ...]] = None
-    for perm in permutations(range(n)):
-        if [colors[p] for p in perm] != sorted_colors:
-            continue
-        flat = tuple(
-            1 if (perm[i] != perm[j] and P.leq[perm[i]][perm[j]]) else 0
-            for i in range(n)
-            for j in range(n)
-        )
-        if best is None or flat < best:
-            best = flat
-    assert best is not None
+    key = _canonical_int(P._up_int, _refined_colors(P))
+    return tuple(key >> bit & 1 for bit in range(n * n - 1, -1, -1))
+
+
+def _canonical_int(up: Sequence[int], colors: Sequence[int]) -> int:
+    """``canonical_key`` as an n²-bit int, from the order's int rows.
+
+    Position k of a relabelling holds an element of the k-th smallest
+    colour.  The flattened strict order is read row-major with position
+    pair (0, 0) as the high bit, so int order is the tuple's lex order.
+    """
+    n = len(up)
+    classes: dict[int, list[int]] = {}
+    for x in range(n):
+        classes.setdefault(colors[x], []).append(x)
+    pos = [0] * n
+    free = []  # (first position, members) of the classes with several members
+    first = 0
+    for c in sorted(classes):
+        members = classes[c]
+        if len(members) == 1:
+            pos[members[0]] = first
+        else:
+            free.append((first, members))
+        first += len(members)
+    # product() materializes its factors, so the largest class is
+    # permuted lazily in the inner loop
+    free.sort(key=lambda block: len(block[1]))
+    start, largest = free.pop() if free else (0, ())
+    pairs = [(a, b) for a in range(n) for b in _members(up[a] & ~(1 << a))]
+    top = n * n - 1
+    best = None
+    for choice in product(*(permutations(members) for _, members in free)):
+        for (first, _), perm in zip(free, choice):
+            for k, x in enumerate(perm, first):
+                pos[x] = k
+        for perm in permutations(largest):
+            for k, x in enumerate(perm, start):
+                pos[x] = k
+            key = sum(1 << (top - n * pos[a] - pos[b]) for a, b in pairs)
+            if best is None or key < best:
+                best = key
     return best
 
 
 def all_posets(n: int) -> list[FinitePoset]:
-    """All posets on n >= 1 elements, one per isomorphism type."""
+    """All posets on n >= 1 elements, one per isomorphism type.
+
+    A candidate is judged on int rows before any poset is built: a
+    ``FinitePoset`` is made only for the first candidate of each type.
+    The posets of one size share their labels tuple and their leq rows.
+    """
     if n < 1:
         raise ValueError("poset enumeration starts at one element")
     current = [FinitePoset(("e0",), ((True,),))]
     for size in range(2, n + 1):
-        seen: dict[tuple[int, ...], FinitePoset] = {}
-        for P in current:
+        labels = tuple(f"e{i}" for i in range(size))
+        new = size - 1
+        top = 1 << new
+        rows: dict[int, tuple[bool, ...]] = {}  # one leq row per bitmask
+        seen: dict[int, FinitePoset] = {}
+        current.reverse()  # popped in order, so each parent is freed once used
+        while current:
+            P = current.pop()
+            up_old, above_old, below_old = P._up_int, P._cover_above, P._cover_below
             for ideal in _ideals(P):
-                Q = _attach_maximal(P, ideal, size)
-                key = canonical_key(Q)
+                up = [row | top if ideal >> i & 1 else row for i, row in enumerate(up_old)]
+                up.append(top)
+                # the new element covers the maximal elements of the ideal
+                maxima = tuple(i for i in _members(ideal) if up_old[i] & ideal == 1 << i)
+                above = list(above_old)
+                for i in maxima:
+                    above[i] += (new,)
+                above.append(())
+                key = _canonical_int(up, _refine(above, below_old + (maxima,)))
                 if key not in seen:
-                    seen[key] = Q
+                    leq = tuple(rows.setdefault(row, _bool_row(row, size)) for row in up)
+                    seen[key] = FinitePoset(labels, leq)
         current = [seen[k] for k in sorted(seen)]
     return current
 
@@ -69,20 +119,6 @@ def _ideals(P: FinitePoset) -> list[int]:
     """Down-closed subsets as bitmasks: complements of the up-sets."""
     full = (1 << P.n) - 1
     return [full & ~O.as_int() for O in P.enumerate_opens()]
-
-
-def _attach_maximal(P: FinitePoset, ideal: int, size: int) -> FinitePoset:
-    n = P.n
-    labels = tuple(f"e{i}" for i in range(size))
-    leq = [[False] * (n + 1) for _ in range(n + 1)]
-    for i in range(n):
-        for j in range(n):
-            leq[i][j] = P.leq[i][j]
-    leq[n][n] = True
-    for i in range(n):
-        if ideal >> i & 1:
-            leq[i][n] = True
-    return FinitePoset(labels, tuple(tuple(row) for row in leq))
 
 
 def random_poset(rng: random.Random, n: int) -> FinitePoset:

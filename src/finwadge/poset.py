@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache, reduce
+from itertools import compress
+from operator import or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -105,14 +107,16 @@ class FinitePoset:
     """A finite poset together with its Alexandrov topology.
 
     ``leq`` is the full order matrix (reflexive, antisymmetric,
-    transitive; validated at construction).  ``cover`` is its transitive
-    reduction and ``linext`` a cached linear extension.  Derived index
-    structures are computed once and reused by all operations.
+    transitive; validated at construction) and ``linext`` a cached
+    linear extension.  The int rows of the order, the linear extension
+    and the ``space_id`` fingerprint are built at construction; the cover
+    matrix (the transitive reduction) and the other derived index
+    structures are derived from the int rows on first use and then
+    reused by all operations.
     """
 
     labels: tuple[str, ...]
     leq: tuple[tuple[bool, ...], ...]
-    cover: tuple[tuple[bool, ...], ...] = field(init=False, repr=False, compare=False)
     linext: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -121,38 +125,38 @@ class FinitePoset:
             raise DuplicateLabelError("element labels must be distinct")
         if len(self.leq) != n or any(len(row) != n for row in self.leq):
             raise ValueError("leq matrix shape does not match label count")
-        up = tuple(sum(1 << j for j, b in enumerate(row) if b) for row in self.leq)
-        cover = []
+        # bit j of up[i], and bit i of down[j], is set iff i <= j
+        up = tuple(map(_row_int, self.leq))
+        down = tuple(map(_row_int, zip(*self.leq)))
         for i, row in enumerate(up):
             if not row >> i & 1:
                 raise ValueError("order must be reflexive")
-            strict = row & ~(1 << i)
-            implied = 0  # reached through some element strictly above i
-            for j in _members(strict):
-                if up[j] >> i & 1:
-                    raise CycleError(f"antisymmetry violated on {self.labels[i]!r}, {self.labels[j]!r}")
-                if up[j] & ~row:
-                    raise ValueError("order must be transitive")
-                implied |= up[j] & ~(1 << j)
-            covers = strict & ~implied
-            cover.append(tuple(bool(covers >> j & 1) for j in range(n)))
-        down = [0] * n
-        for i, row in enumerate(up):
-            for j in _members(row):
-                down[j] |= 1 << i
-        linext: list[int] = []
+            # row i is sound iff nothing above i is also below it and the
+            # rows of the elements above i add nothing to it
+            if row & down[i] != 1 << i or reduce(or_, compress(up, self.leq[i])) != row:
+                _raise_first_bad_pair(self.labels, up, i)
+        # the lowest-index element with nothing remaining strictly below it
+        # comes next; an element becomes ready only once the last element
+        # strictly below it is gone, and that one is a lower cover of it
+        covers = _cover_rows(up)
+        order: list[int] = []
         remaining = (1 << n) - 1
-        while remaining:
-            # lowest-index element with nothing remaining strictly below it
-            x = next(i for i in _members(remaining) if down[i] & remaining == 1 << i)
-            linext.append(x)
-            remaining ^= 1 << x
-        object.__setattr__(self, "cover", tuple(cover))
-        object.__setattr__(self, "linext", tuple(linext))
-        # bit j of _up_int[i], and bit i of _down_int[j], is set iff i <= j
+        ready = sum(1 << i for i in range(n) if down[i] == 1 << i)
+        while ready:
+            low = ready & -ready
+            x = low.bit_length() - 1
+            order.append(x)
+            remaining ^= low
+            ready ^= low
+            for y in _members(covers[x]):
+                if down[y] & remaining == 1 << y:
+                    ready |= 1 << y
+        linext = tuple(order)
+        if linext == _index_order(n):
+            linext = _index_order(n)  # one tuple per size, as all_posets makes many
+        object.__setattr__(self, "linext", linext)
         object.__setattr__(self, "_up_int", up)
-        object.__setattr__(self, "_down_int", tuple(down))
-        object.__setattr__(self, "_index", {lab: i for i, lab in enumerate(self.labels)})
+        object.__setattr__(self, "_down_int", down)
         fingerprint = hashlib.sha256(repr((self.labels, self.leq)).encode()).hexdigest()[:16]
         object.__setattr__(self, "space_id", fingerprint)
 
@@ -178,8 +182,12 @@ class FinitePoset:
     def strict_below(self, i: int) -> tuple[int, ...]:
         return self._strict_below[i]
 
-    # Neighbour lists, built on first use (construction does not pay for
+    # Index structures, built on first use (construction does not pay for
     # them) and shared by every later search on this poset.
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {lab: i for i, lab in enumerate(self.labels)}
 
     @cached_property
     def _strict_below(self) -> tuple[tuple[int, ...], ...]:
@@ -191,17 +199,24 @@ class FinitePoset:
 
     @cached_property
     def _cover_above(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(j for j, b in enumerate(row) if b) for row in self.cover)
+        return tuple(tuple(_members(row)) for row in _cover_rows(self._up_int))
 
     @cached_property
     def _cover_below(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(i for i, row in enumerate(self.cover) if row[j]) for j in range(self.n))
+        below: list[list[int]] = [[] for _ in range(self.n)]
+        for i, above in enumerate(self._cover_above):
+            for j in above:
+                below[j].append(i)
+        return tuple(map(tuple, below))
+
+    @cached_property
+    def cover(self) -> tuple[tuple[bool, ...], ...]:
+        """The cover matrix: the transitive reduction of ``leq``."""
+        return tuple(_bool_row(row, self.n) for row in _cover_rows(self._up_int))
 
     def hasse_edges(self) -> tuple[tuple[int, int], ...]:
         """Cover pairs (lower, upper), sorted by index."""
-        return tuple(
-            (i, j) for i in range(self.n) for j in range(self.n) if self.cover[i][j]
-        )
+        return tuple((i, j) for i, above in enumerate(self._cover_above) for j in above)
 
     # -- mask constructors -----------------------------------------------
 
@@ -421,19 +436,21 @@ def build_poset(labels: Sequence[str], covers: Sequence[tuple[str, str]]) -> Fin
         if lo == hi:
             raise CycleError(f"cover pair ({lo!r}, {hi!r}) is a loop")
         up[index[lo]] |= 1 << index[hi]
+    # Warshall's pass: every row holding k takes in k's row
     for k in range(n):
-        for i in range(n):
-            if up[i] >> k & 1:
-                up[i] |= up[k]
-    return FinitePoset(labels, tuple(tuple(bool(row >> j & 1) for j in range(n)) for row in up))
+        bit, row = 1 << k, up[k]
+        for i in compress(range(n), map(bit.__and__, up)):
+            up[i] |= row
+    return FinitePoset(labels, tuple(_bool_row(row, n) for row in up))
 
 
 def poset_isomorphic(X: FinitePoset, Y: FinitePoset) -> Optional[tuple[int, ...]]:
     """First order-isomorphism from X onto Y in backtracking order, if any.
 
-    Candidates are pruned by iterated degree refinement, and elements are
-    assigned in index order with target indices tried in increasing order,
-    so the witness is deterministic.
+    Candidates are pruned by colour refinement, and elements are assigned
+    in index order with target indices tried in increasing order, so the
+    witness is deterministic.  The search runs on an explicit stack: depth
+    i holds the position in i's candidate list to try next.
     """
     if X.n != Y.n:
         return None
@@ -442,51 +459,114 @@ def poset_isomorphic(X: FinitePoset, Y: FinitePoset) -> Optional[tuple[int, ...]
     if sorted(cx) != sorted(cy):
         return None
     n = X.n
-    image: list[int] = [-1] * n
+    targets: dict[int, list[int]] = {}
+    for t, c in enumerate(cy):
+        targets.setdefault(c, []).append(t)
+    options = [targets[c] for c in cx]
+    x_up, y_up = X.leq, Y.leq
+    x_down, y_down = tuple(zip(*x_up)), tuple(zip(*y_up))
+    image: list[int] = []
     used = [False] * n
-
-    def assign(i: int) -> bool:
-        if i == n:
-            return True
-        for t in range(n):
-            if used[t] or cx[i] != cy[t]:
-                continue
-            ok = True
-            for j in range(i):
-                if X.leq[i][j] != Y.leq[t][image[j]] or X.leq[j][i] != Y.leq[image[j]][t]:
-                    ok = False
-                    break
-            if ok:
-                image[i] = t
+    tried = [0] * n
+    i = 0
+    while 0 <= i < n:
+        # i must relate to the elements placed so far as its target does to their images
+        want_up, want_down = tuple(x_up[i][:i]), x_down[i][:i]
+        for k in range(tried[i], len(options[i])):
+            t = options[i][k]
+            if (
+                not used[t]
+                and tuple(map(y_up[t].__getitem__, image)) == want_up
+                and tuple(map(y_down[t].__getitem__, image)) == want_down
+            ):
+                tried[i] = k + 1
                 used[t] = True
-                if assign(i + 1):
-                    return True
-                used[t] = False
-                image[i] = -1
-        return False
-
-    if assign(0):
-        return tuple(image)
-    return None
+                image.append(t)
+                i += 1
+                break
+        else:
+            tried[i] = 0
+            i -= 1
+            if i >= 0:
+                used[image.pop()] = False
+    return tuple(image) if i == n else None
 
 
 def _refined_colors(P: FinitePoset) -> tuple[int, ...]:
-    # Per-round normalization keeps colors comparable across posets: on
-    # isomorphic posets every round produces identical color multisets.
-    n = P.n
+    return _refine(P._cover_above, P._cover_below)
+
+
+def _refine(above: Sequence[Sequence[int]], below: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Colour refinement of a cover graph, from one colour to a stable partition.
+
+    A round recolours each element by its colour and the sorted colours
+    of its upper and lower covers, numbered in sorted order, so on
+    isomorphic posets every round produces identical colour multisets.
+    Rounds only split classes, and refinement stops at the first round
+    that splits none: the colours of a stable partition are a fixed point.
+    """
+    n = len(above)
     colors = [0] * n
-    for _ in range(n + 1):
+    classes = min(n, 1)
+    while True:
+        get = colors.__getitem__
         sig = [
-            (
-                colors[i],
-                tuple(sorted(colors[j] for j in range(n) if P.cover[i][j])),
-                tuple(sorted(colors[j] for j in range(n) if P.cover[j][i])),
-            )
+            (colors[i], tuple(sorted(map(get, above[i]))), tuple(sorted(map(get, below[i]))))
             for i in range(n)
         ]
         legend = {s: k for k, s in enumerate(sorted(set(sig)))}
-        colors = [legend[s] for s in sig]
-    return tuple(colors)
+        colors = list(map(legend.__getitem__, sig))
+        if len(legend) == classes:
+            return tuple(colors)
+        classes = len(legend)
+
+
+def _row_int(row: Sequence[bool]) -> int:
+    """Bitmask of the true entries of a matrix row: bit j is row[j]."""
+    return int(bytes(map(bool, reversed(row))).translate(_BINARY_DIGITS) or b"0", 2)
+
+
+_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+@lru_cache(maxsize=16)
+def _index_order(n: int) -> tuple[int, ...]:
+    """One copy per size of the linear extension 0, 1, ..., n-1."""
+    return tuple(range(n))
+
+
+def _bool_row(row: int, n: int) -> tuple[bool, ...]:
+    """Matrix row of length n from a bitmask: entry j is bit j."""
+    return tuple([bit == "1" for bit in format(row, f"0{n}b")[::-1]])
+
+
+def _cover_rows(up: Sequence[int]) -> list[int]:
+    """Bitmask rows of the cover relation: the minimal strict successors of each element."""
+    strict = [row & ~(1 << i) for i, row in enumerate(up)]
+    return [row & ~reduce(or_, compress(strict, _bit_flags(row)), 0) for row in strict]
+
+
+def _bit_flags(value: int) -> bytes:
+    """Byte j is 1 iff bit j of value is set: a selector for itertools.compress."""
+    return bin(value)[:1:-1].encode().translate(_BIT_FLAGS)
+
+
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _raise_first_bad_pair(labels: Sequence[str], up: Sequence[int], i: int) -> None:
+    """Raise for the first pair (i, j) of row i that breaks the order axioms.
+
+    Pairs are taken in increasing j, and antisymmetry is checked before
+    transitivity.
+    """
+    row = up[i]
+    for j in _members(row & ~(1 << i)):
+        if up[j] >> i & 1:
+            raise CycleError(f"antisymmetry violated on {labels[i]!r}, {labels[j]!r}")
+        if up[j] & ~row:
+            raise ValueError("order must be transitive")
+    raise AssertionError("row has no bad pair")
 
 
 def _members(value: int) -> Iterator[int]:

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
@@ -152,6 +152,28 @@ def reference_order(labels, leq):
     return cover, tuple(linext)
 
 
+def reference_build_poset(labels, pairs):
+    """The order matrix that build_poset(labels, pairs) must produce.
+
+    Closes the pairs by Warshall's triple loop on bool rows, then validates
+    the closure like the FinitePoset constructor (reference_order), so a
+    cyclic pair list raises on the same first bad pair.
+    """
+    index = {lab: i for i, lab in enumerate(labels)}
+    n = len(labels)
+    leq = [[i == j for j in range(n)] for i in range(n)]
+    for lo, hi in pairs:
+        leq[index[lo]][index[hi]] = True
+    for k in range(n):
+        for i in range(n):
+            if leq[i][k]:
+                for j in range(n):
+                    leq[i][j] = leq[i][j] or leq[k][j]
+    leq = tuple(map(tuple, leq))
+    reference_order(labels, leq)
+    return leq
+
+
 def reference_search_map(P: FinitePoset, domains):
     """First monotone map with f(x) in domains[x], by unpruned backtracking.
 
@@ -272,6 +294,107 @@ def reference_degree_structure(P: FinitePoset, items, kind=ReducibilityKind.WADG
             slo_violations=tuple(slo),
         ),
     )
+
+
+def reference_refined_colors(P: FinitePoset) -> tuple[int, ...]:
+    """Colour refinement by n+1 full rounds over the cover matrix."""
+    n = P.n
+    colors = [0] * n
+    for _ in range(n + 1):
+        sig = [
+            (
+                colors[i],
+                tuple(sorted(colors[j] for j in range(n) if P.cover[i][j])),
+                tuple(sorted(colors[j] for j in range(n) if P.cover[j][i])),
+            )
+            for i in range(n)
+        ]
+        legend = {s: k for k, s in enumerate(sorted(set(sig)))}
+        colors = [legend[s] for s in sig]
+    return tuple(colors)
+
+
+def reference_canonical_key(P: FinitePoset) -> tuple[int, ...]:
+    """Least flattened strict order over all n! permutations that sort the colours."""
+    n = P.n
+    colors = reference_refined_colors(P)
+    sorted_colors = sorted(colors)
+    best = None
+    for perm in permutations(range(n)):
+        if [colors[p] for p in perm] != sorted_colors:
+            continue
+        flat = tuple(
+            1 if (perm[i] != perm[j] and P.leq[perm[i]][perm[j]]) else 0
+            for i in range(n)
+            for j in range(n)
+        )
+        if best is None or flat < best:
+            best = flat
+    return best
+
+
+def reference_all_posets(n: int) -> list[FinitePoset]:
+    """One poset per type: each ideal of each smaller type gets a new maximal element.
+
+    Every candidate is built as a FinitePoset and keyed by
+    reference_canonical_key; the first candidate of a key is kept, and
+    the result is sorted by key.
+    """
+    current = [FinitePoset(("e0",), ((True,),))]
+    for size in range(2, n + 1):
+        seen = {}
+        for P in current:
+            full = (1 << P.n) - 1
+            for O in P.enumerate_opens():
+                ideal = full & ~O.as_int()
+                leq = [list(row) + [bool(ideal >> i & 1)] for i, row in enumerate(P.leq)]
+                leq.append([False] * P.n + [True])
+                Q = FinitePoset(tuple(f"e{i}" for i in range(size)), tuple(map(tuple, leq)))
+                seen.setdefault(reference_canonical_key(Q), Q)
+        current = [seen[k] for k in sorted(seen)]
+    return current
+
+
+def reference_poset_isomorphic(X: FinitePoset, Y: FinitePoset):
+    """First isomorphism X -> Y by recursive backtracking in index order.
+
+    Targets are tried in increasing order among those of equal
+    reference colour.
+    """
+    if X.n != Y.n:
+        return None
+    cx = reference_refined_colors(X)
+    cy = reference_refined_colors(Y)
+    if sorted(cx) != sorted(cy):
+        return None
+    n = X.n
+    image = [-1] * n
+    used = [False] * n
+
+    def assign(i: int) -> bool:
+        if i == n:
+            return True
+        for t in range(n):
+            if used[t] or cx[i] != cy[t]:
+                continue
+            if all(X.leq[i][j] == Y.leq[t][image[j]] and X.leq[j][i] == Y.leq[image[j]][t] for j in range(i)):
+                image[i] = t
+                used[t] = True
+                if assign(i + 1):
+                    return True
+                used[t] = False
+                image[i] = -1
+        return False
+
+    return tuple(image) if assign(0) else None
+
+
+def relabelled(P: FinitePoset, rng) -> FinitePoset:
+    """P under a seeded random permutation of its elements, with fresh labels."""
+    perm = list(range(P.n))
+    rng.shuffle(perm)
+    leq = tuple(tuple(P.leq[perm[a]][perm[b]] for b in range(P.n)) for a in range(P.n))
+    return FinitePoset(tuple(f"v{i}" for i in range(P.n)), leq)
 
 
 def brute_reduces(P: FinitePoset, A: SubsetMask, B: SubsetMask, maps=None) -> bool:

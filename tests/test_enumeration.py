@@ -1,10 +1,20 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
-from finwadge import is_monotone, is_retraction, poset_isomorphic
+from finwadge import (
+    FinitePoset,
+    antichain,
+    chain,
+    fan,
+    is_monotone,
+    is_retraction,
+    lex_product,
+    poset_isomorphic,
+)
 from finwadge.enumeration import (
     POSET_COUNTS,
     all_posets,
@@ -13,11 +23,62 @@ from finwadge.enumeration import (
     random_poset,
     random_retraction,
 )
+from finwadge.poset import _refined_colors
+
+from conftest import reference_all_posets, reference_canonical_key, reference_refined_colors, relabelled
 
 
 @pytest.mark.parametrize("n,count", sorted(POSET_COUNTS.items()))
 def test_unlabeled_counts(n, count):
     assert len(all_posets(n)) == count
+
+
+def test_all_posets_builds_one_poset_per_type(monkeypatch):
+    # candidates are judged on int rows; a FinitePoset is made only for the
+    # first candidate of each type, at every size up to 7
+    built = []
+    construct = FinitePoset.__post_init__
+
+    def counted(self):
+        built.append(self.n)
+        construct(self)
+
+    monkeypatch.setattr(FinitePoset, "__post_init__", counted)
+    all_posets(7)
+    assert Counter(built) == {n: POSET_COUNTS[n] for n in range(1, 8)}
+    assert len(built) == 2450
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_all_posets_matches_reference(n):
+    got, want = all_posets(n), reference_all_posets(n)
+    assert [P.labels for P in got] == [P.labels for P in want]
+    assert [P.leq for P in got] == [P.leq for P in want]
+    assert [P.cover for P in got] == [P.cover for P in want]
+    assert [P.linext for P in got] == [P.linext for P in want]
+    assert [P.space_id for P in got] == [P.space_id for P in want]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_canonical_key_and_colors_match_reference(n):
+    rng = random.Random(600 + n)
+    for P in all_posets(n):
+        for X in (P, relabelled(P, rng)):
+            assert _refined_colors(X) == reference_refined_colors(X)
+            assert canonical_key(X) == reference_canonical_key(X)
+
+
+def test_canonical_key_of_the_empty_poset():
+    assert canonical_key(chain(0)) == reference_canonical_key(chain(0)) == ()
+
+
+def test_refined_colors_match_reference_on_larger_posets():
+    rng = random.Random(77)
+    spaces = [random_poset(rng, rng.randint(7, 30)) for _ in range(60)]
+    spaces += [chain(40), fan(3).space, lex_product(antichain(3), chain(6))]
+    for X in spaces:
+        for Y in (X, relabelled(X, rng)):
+            assert _refined_colors(Y) == reference_refined_colors(Y)
 
 
 def test_enumerated_types_are_pairwise_nonisomorphic():

@@ -21,7 +21,15 @@ from finwadge import (
 )
 from finwadge.enumeration import all_posets, random_poset
 
-from conftest import brute_opens, posets, poset_with_mask, reference_order
+from conftest import (
+    brute_opens,
+    posets,
+    poset_with_mask,
+    reference_build_poset,
+    reference_order,
+    reference_poset_isomorphic,
+    relabelled,
+)
 
 
 def test_single_point():
@@ -139,6 +147,21 @@ def test_constructor_matches_reference_oracle():
         outcomes.add(expected[0] if isinstance(expected[0], type) else "ok")
     # every rejection path was exercised
     assert outcomes == {"ok", ValueError, CycleError}
+
+
+def test_build_poset_matches_reference_closure():
+    # seeded pair lists in random order and direction, many of them cyclic;
+    # the labels are shuffled so index order differs from label order
+    outcomes = set()
+    for seed in range(400):
+        rng = random.Random(seed)
+        n = rng.randint(1, 9)
+        labels = tuple(rng.sample([f"e{i}" for i in range(n)], n))
+        pairs = [tuple(rng.sample(labels, 2)) for _ in range(rng.randint(0, 2 * n))] if n > 1 else []
+        expected = _outcome(reference_build_poset, labels, pairs)
+        assert _outcome(lambda ls, ps: build_poset(ls, ps).leq, labels, pairs) == expected, (labels, pairs)
+        outcomes.add(expected[0] if isinstance(expected[0], type) else "ok")
+    assert outcomes == {"ok", CycleError}
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -338,3 +361,23 @@ def test_isomorphism_is_equivalence_on_small_sample():
         for j, Q in enumerate(sample):
             if i != j:
                 assert poset_isomorphic(P, Q) is None
+
+
+def test_isomorphism_witness_matches_reference():
+    # first isomorphism in index order, targets tried in increasing order
+    rng = random.Random(31)
+    for n in range(1, 5):
+        spaces = all_posets(n)
+        spaces += [relabelled(P, rng) for P in spaces]
+        for X in spaces:
+            for Y in spaces:
+                assert poset_isomorphic(X, Y) == reference_poset_isomorphic(X, Y)
+    for n in (5, 6):
+        for P in all_posets(n):
+            Q = relabelled(P, rng)
+            assert poset_isomorphic(P, Q) == reference_poset_isomorphic(P, Q)
+            assert poset_isomorphic(Q, P) == reference_poset_isomorphic(Q, P)
+
+
+def test_isomorphism_of_long_chains_does_not_recurse():
+    assert poset_isomorphic(chain(1100), chain(1100)) == tuple(range(1100))
