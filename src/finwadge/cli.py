@@ -59,10 +59,11 @@ def cmd_space(args) -> int:
     doc = load_document(args.document)
     X = doc.poset
     cap = args.cap if args.cap is not None else SPACE_OPENS_CAP
+    rank = X.derivative_trace().scattered_rank
     report = {
         "elements": X.n,
-        "dimension": X.dimension(),
-        "scattered_rank": X.derivative_trace().scattered_rank,
+        "dimension": rank - 1,  # FinitePoset.dimension: the height
+        "scattered_rank": rank,
         "open_sets": sum(1 for _ in X.enumerate_opens()) if X.n <= cap else "capped",
     }
     _emit(report, args.out)

@@ -342,55 +342,17 @@ class FinitePoset:
         return DerivativeTrace(tuple(map(self.mask_from_int, stages)), tuple(ranks))
 
     def dimension(self) -> int:
-        """Inductive dimension, -1 for the empty space.
+        """Inductive dimension, -1 for the empty space; it equals the height.
 
-        The minimal open neighborhood of x is its up-set, and it is the
-        only open V with x in V inside that up-set, so the neighborhood
-        quantifier collapses to the single boundary test
-        dim(X) = 1 + max_x dim(boundary of up(x)); boundaries are proper
-        subspaces, so the descent terminates.  It runs on an explicit
-        stack of frames [subspace, members not yet tried, best so far,
-        maximal elements], with one memo entry per subspace reached.
+        The minimal open neighborhood of x is its up-set, so
+        dim(X) = 1 + max_x dim(boundary of up(x)), and by induction on |X|
+        this is the height h (elements in a longest chain, minus one).  A
+        chain of h+1 elements in the boundary of up(x) would have its top
+        below some z >= x, hence equal to z (a lower top gives a longer
+        chain) and inside up(x); and a longest chain x0 < ... < xh puts
+        x0 ... x(h-1) in the boundary of up(xh), so the bound is reached.
         """
-        up, down = self._up_int, self._down_int
-        memo: dict[int, int] = {0: -1}
-
-        def frame(subset: int) -> list[int]:
-            tops = 0
-            for i in _members(subset):
-                if up[i] & subset == 1 << i:
-                    tops |= 1 << i
-            return [subset, subset, 0, tops]
-
-        full = (1 << self.n) - 1
-        stack = [frame(full)] if full else []
-        while stack:
-            top = stack[-1]
-            subset, untried, best, tops = top
-            pending = None
-            while untried:
-                low = untried & -untried
-                x = low.bit_length() - 1
-                opened = up[x] & subset
-                # the closure of opened within subset: the down-sets of the
-                # maximal elements of subset above x cover it
-                cl = 0
-                for m in _members(opened & tops):
-                    cl |= down[m]
-                boundary = cl & subset & ~opened
-                d = memo.get(boundary)
-                if d is None:
-                    pending = boundary
-                    break
-                best = max(best, d + 1)
-                untried ^= low
-            if pending is None:
-                memo[subset] = best
-                stack.pop()
-            else:
-                top[1], top[2] = untried, best
-                stack.append(frame(pending))
-        return memo[full]
+        return self.derivative_trace().scattered_rank - 1
 
     # -- subspaces ---------------------------------------------------------
 
@@ -403,16 +365,6 @@ class FinitePoset:
         labels = tuple(self.labels[i] for i in keep)
         leq = tuple(tuple(self.leq[i][j] for j in keep) for i in keep)
         return FinitePoset(labels, leq)
-
-    def subspace_mask(self, carrier: SubsetMask, A: SubsetMask) -> SubsetMask:
-        """Re-express A (a subset of the carrier) inside subspace(carrier)."""
-        self.check_mask(carrier)
-        self.check_mask(A)
-        if not A.is_subset(carrier):
-            raise SpaceMismatch("subset is not contained in the carrier of the subspace")
-        sub = self.subspace(carrier)
-        value = sum(1 << k for k, i in enumerate(carrier.indices()) if A.has(i))
-        return SubsetMask(sub.space_id, sub.n, value)
 
 
 def build_poset(labels: Sequence[str], covers: Sequence[tuple[str, str]]) -> FinitePoset:

@@ -320,15 +320,6 @@ class DegreeStructure:
     def class_count(self) -> int:
         return len(self.classes)
 
-    def class_of(self, item_index: int) -> int:
-        for ci, members in enumerate(self.classes):
-            if item_index in members:
-                return ci
-        raise IndexError(f"item {item_index} not in any class")
-
-    def leq_classes(self, i: int, j: int) -> bool:
-        return i == j or (i, j) in set(self.strict_order)
-
     def minimal_classes(self) -> tuple[int, ...]:
         above = {j for _, j in self.strict_order}
         return tuple(i for i in range(self.class_count) if i not in above)
@@ -478,25 +469,27 @@ def _item_key(item: Item):
 
 
 def _max_clique(adj: list[list[bool]]) -> int:
-    """Maximum clique size by branch and bound (desk-scale graphs)."""
-    n = len(adj)
-    order = sorted(range(n), key=lambda v: -sum(adj[v]))
+    """Maximum clique size by branch and bound (desk-scale graphs).
+
+    Vertices are tried in order of decreasing degree.  The search runs on
+    an explicit stack: stack[d] holds the untried candidates that extend
+    the current clique of d vertices, and a frame is dropped once it
+    cannot beat the best clique found.
+    """
+    order = sorted(range(len(adj)), key=lambda v: -sum(adj[v]))
     best = 0
-
-    def expand(current: int, candidates: list[int]) -> None:
-        nonlocal best
+    stack = [order]
+    while stack:
+        current = len(stack) - 1
+        candidates = stack[-1]
         if current + len(candidates) <= best:
-            return
-        if not candidates:
-            best = max(best, current)
-            return
-        while candidates:
-            if current + len(candidates) <= best:
-                return
+            stack.pop()
+        elif not candidates:
+            best = current
+            stack.pop()
+        else:
             v = candidates.pop(0)
-            expand(current + 1, [u for u in candidates if adj[v][u]])
-
-    expand(0, order)
+            stack.append([u for u in candidates if adj[v][u]])
     return best
 
 

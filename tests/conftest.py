@@ -6,13 +6,8 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from finwadge import CycleError, FinitePoset, SubsetMask, build_poset, classify, level_leq
-from finwadge.wadge import (
-    DegreeStructure,
-    Diagnostics,
-    ReducibilityKind,
-    _item_key,
-    _max_clique,
-)
+from finwadge.poset import _members
+from finwadge.wadge import DegreeStructure, Diagnostics, ReducibilityKind, _item_key
 
 settings.register_profile(
     "ci",
@@ -78,6 +73,54 @@ def brute_longest_alternating(P: FinitePoset, A: SubsetMask, starts_in: bool) ->
         if A.has(start) == starts_in:
             grow(start, 1)
     return best
+
+
+def reference_dimension(P: FinitePoset) -> int:
+    """Inductive dimension by the boundary descent dim(X) = 1 + max_x dim(bd up(x)).
+
+    Memoized over boundary subspaces on an explicit stack of frames
+    [subspace, members not yet tried, best so far, maximal elements];
+    it never reads the element ranks.
+    """
+    up, down = P._up_int, P._down_int
+    memo: dict[int, int] = {0: -1}
+
+    def frame(subset: int) -> list[int]:
+        tops = 0
+        for i in _members(subset):
+            if up[i] & subset == 1 << i:
+                tops |= 1 << i
+        return [subset, subset, 0, tops]
+
+    full = (1 << P.n) - 1
+    stack = [frame(full)] if full else []
+    while stack:
+        top = stack[-1]
+        subset, untried, best, tops = top
+        pending = None
+        while untried:
+            low = untried & -untried
+            x = low.bit_length() - 1
+            opened = up[x] & subset
+            # the closure of opened within subset: the down-sets of the
+            # maximal elements of subset above x cover it
+            cl = 0
+            for m in _members(opened & tops):
+                cl |= down[m]
+            boundary = cl & subset & ~opened
+            d = memo.get(boundary)
+            if d is None:
+                pending = boundary
+                break
+            best = max(best, d + 1)
+            untried ^= low
+        if pending is None:
+            memo[subset] = best
+            stack.pop()
+        else:
+            top[1], top[2] = untried, best
+            stack.append(frame(pending))
+    return memo[full]
 
 
 def all_monotone_maps(P: FinitePoset) -> list[tuple[int, ...]]:
@@ -231,6 +274,29 @@ def reference_reduces(P: FinitePoset, a, b, kind) -> bool:
     return reference_search_map(P, domains) is not None
 
 
+def reference_max_clique(adj) -> int:
+    """Maximum clique size by recursive branch and bound, one call per clique vertex."""
+    n = len(adj)
+    order = sorted(range(n), key=lambda v: -sum(adj[v]))
+    best = 0
+
+    def expand(current: int, candidates: list[int]) -> None:
+        nonlocal best
+        if current + len(candidates) <= best:
+            return
+        if not candidates:
+            best = max(best, current)
+            return
+        while candidates:
+            if current + len(candidates) <= best:
+                return
+            v = candidates.pop(0)
+            expand(current + 1, [u for u in candidates if adj[v][u]])
+
+    expand(0, order)
+    return best
+
+
 def reference_degree_structure(P: FinitePoset, items, kind=ReducibilityKind.WADGE) -> DegreeStructure:
     """Quotient by pairwise tests of each item against every representative.
 
@@ -290,7 +356,7 @@ def reference_degree_structure(P: FinitePoset, items, kind=ReducibilityKind.WADG
         strict_order=tuple(strict),
         hasse=tuple(hasse),
         diagnostics=Diagnostics(
-            max_antichain=_max_clique(incomparable) if k else 0,
+            max_antichain=reference_max_clique(incomparable) if k else 0,
             slo_violations=tuple(slo),
         ),
     )

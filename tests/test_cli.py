@@ -49,8 +49,8 @@ def test_space_empty_document(capsys, tmp_path):
 
 
 def test_space_deep_chain_has_no_recursion_limit(capsys, tmp_path):
-    # index 0 is the top, so every boundary in the dimension descent is
-    # reached first from the largest one
+    # index 0 is the top, so loading, the rank pass and the report walk a
+    # chain of 1100 elements from its far end without recursing
     n = 1100
     path = tmp_path / "deep.json"
     names = [f"x{i}" for i in range(n)]

@@ -17,6 +17,7 @@ from finwadge import (
     build_poset,
     chain,
     fan,
+    lex_product,
     poset_isomorphic,
 )
 from finwadge.enumeration import all_posets, random_poset
@@ -26,6 +27,7 @@ from conftest import (
     posets,
     poset_with_mask,
     reference_build_poset,
+    reference_dimension,
     reference_order,
     reference_poset_isomorphic,
     relabelled,
@@ -312,6 +314,16 @@ def test_dimension_monotone_under_subspaces():
             for v in range(1, 1 << P.n):
                 S = P.subspace(P.mask_from_int(v))
                 assert S.dimension() <= d
+
+
+def test_dimension_matches_reference_descent():
+    # the height read off the ranks against the memoized boundary descent
+    spaces = [P for n in range(1, 8) for P in all_posets(n)]
+    rng = random.Random(7)
+    spaces += [random_poset(rng, rng.randint(1, 16)) for _ in range(300)]
+    spaces += [fan(3).space, lex_product(antichain(3), chain(20))]
+    for P in spaces:
+        assert P.dimension() == reference_dimension(P)
 
 
 def test_subspace_examples():

@@ -33,7 +33,7 @@ from finwadge.enumeration import (
     random_retraction,
 )
 from finwadge.verify import level_degree_findings
-from finwadge.wadge import _search_map, all_subsets, reduces
+from finwadge.wadge import _max_clique, _search_map, all_subsets, reduces
 
 from conftest import (
     all_monotone_maps,
@@ -42,6 +42,7 @@ from conftest import (
     poset_with_two_masks,
     reference_degree_structure,
     reference_domains,
+    reference_max_clique,
     reference_reduces,
     reference_search_map,
 )
@@ -536,3 +537,21 @@ def test_slow_fan_pair_has_witness():
     B = X.mask_from_int(169575656041065458280)
     f = wadge_reduces(X, A, B)
     assert f is not None and is_monotone(X, f) and f.preimage(B) == A
+
+
+def test_max_clique_of_a_large_complete_graph_does_not_recurse():
+    n = 1100
+    adj = [[i != j for j in range(n)] for i in range(n)]
+    assert _max_clique(adj) == n
+
+
+def test_max_clique_matches_reference_oracle():
+    rng = random.Random(11)
+    for n in range(1, 15):
+        for density in (0.1, 0.3, 0.5, 0.7, 0.9):
+            for _ in range(4):
+                adj = [[False] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        adj[i][j] = adj[j][i] = rng.random() < density
+                assert _max_clique(adj) == reference_max_clique(adj)
