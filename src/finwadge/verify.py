@@ -143,25 +143,25 @@ def level_degree_findings(P: FinitePoset) -> list[str]:
     findings: list[str] = []
     subsets = all_subsets(P)
     D = degree_structure(P, subsets, ReducibilityKind.WADGE)
-    labels = [classify(P, A).label for A in subsets]
+    levels = [classify(P, A) for A in subsets]
     class_of = {}
     for ci, members in enumerate(D.classes):
         for m in members:
             class_of[m] = ci
     by_label: dict[str, set[int]] = {}
-    for idx, lab in enumerate(labels):
-        by_label.setdefault(lab, set()).add(class_of[idx])
+    for idx, lv in enumerate(levels):
+        by_label.setdefault(lv.label, set()).add(class_of[idx])
     for lab in sorted(by_label):
         if len(by_label[lab]) > 1:
             findings.append(f"{_describe(P)}: label {lab} splits into {len(by_label[lab])} degrees")
     strict = set(D.strict_order)
     for kind in ("ProperSigma", "ProperPi"):
-        levels = sorted(
-            (classify(P, subsets[D.representatives[ci]]).level, ci)
-            for ci in range(D.class_count)
-            if classify(P, subsets[D.representatives[ci]]).label.startswith(kind)
+        ranked = sorted(
+            (levels[rep].level, ci)
+            for ci, rep in enumerate(D.representatives)
+            if levels[rep].label.startswith(kind)
         )
-        for (m, ci), (n_, cj) in zip(levels, levels[1:]):
+        for (m, ci), (n_, cj) in zip(ranked, ranked[1:]):
             if m < n_ and (ci, cj) not in strict:
                 findings.append(
                     f"{_describe(P)}: {kind}({m}) does not sit strictly below {kind}({n_})"

@@ -362,6 +362,17 @@ def degree_structure(
     the first of them it is equivalent to takes it in.  Only an item that
     opens a new class is related to every representative, and the
     signatures pre-filter those searches as in ``wadge_reduces``.
+
+    Subsets also use complement duality: A = f^-1(B) iff X - A =
+    f^-1(X - B), with the same f.  So the complements of one class's
+    members all lie in a single class, ``dual`` of it, and an item whose
+    complement is already placed in a class with a known dual joins that
+    dual without a search.  An SLO test of complement(rep j) <= rep i is
+    the recorded relation between dual[j] and i, and the level of a
+    complement is its set's level with the two ranks swapped, so
+    ``classify`` runs on at most one set of each complement pair.  Items
+    whose complements are absent, and partitions, take the same loop
+    with lookups that miss.
     """
     items = tuple(items)
     if items:
@@ -375,11 +386,16 @@ def degree_structure(
         else:
             _check_partitions(X, item, items[0])
     wadge = kind is ReducibilityKind.WADGE
+    full = (1 << X.n) - 1
     levels: dict[int, DiffLevel] = {}
 
     def level(mask: SubsetMask) -> DiffLevel:
         if mask.value not in levels:
-            levels[mask.value] = classify(X, mask)
+            dual_level = levels.get(mask.value ^ full)
+            if dual_level is None:
+                levels[mask.value] = classify(X, mask)
+            else:  # a complement's level swaps the two ranks
+                levels[mask.value] = DiffLevel(dual_level.pi_rank, dual_level.sigma_rank)
         return levels[mask.value]
 
     def signature(item: Item) -> tuple[DiffLevel, ...]:
@@ -400,22 +416,30 @@ def degree_structure(
     classes: list[list[int]] = []
     by_signature: dict[tuple, list[int]] = {}
     le: dict[tuple[int, int], bool] = {}
+    class_of: dict[int, int] = {}  # subset value -> class of the items with that value
+    dual: dict[int, int] = {}  # class -> the class holding its members' complements
     for idx, item in enumerate(items):
-        peers = by_signature.setdefault(sigs[idx], [])
-        home = next(
-            (ci for ci in peers if search(item, items[reps[ci]]) and search(items[reps[ci]], item)),
-            None,
-        )
-        if home is not None:
-            classes[home].append(idx)
-            continue
-        ci_new = len(reps)
-        for cj, rep in enumerate(reps):
-            le[(ci_new, cj)] = below(item, sigs[idx], items[rep], sigs[rep])
-            le[(cj, ci_new)] = below(items[rep], sigs[rep], item, sigs[idx])
-        reps.append(idx)
-        classes.append([idx])
-        peers.append(ci_new)
+        mirror = class_of.get(item.value ^ full) if subsets else None
+        home = None if mirror is None else dual.get(mirror)
+        if home is None:
+            peers = by_signature.setdefault(sigs[idx], [])
+            home = next(
+                (ci for ci in peers if search(item, items[reps[ci]]) and search(items[reps[ci]], item)),
+                None,
+            )
+            if home is None:
+                home = len(reps)
+                for cj, rep in enumerate(reps):
+                    le[(home, cj)] = below(item, sigs[idx], items[rep], sigs[rep])
+                    le[(cj, home)] = below(items[rep], sigs[rep], item, sigs[idx])
+                reps.append(idx)
+                classes.append([])
+                peers.append(home)
+            if mirror is not None:
+                dual[mirror], dual[home] = home, mirror
+        classes[home].append(idx)
+        if subsets:
+            class_of[item.value] = home
     k = len(reps)
     strict = sorted((i, j) for i in range(k) for j in range(k) if i != j and le.get((i, j), False))
     strict_set = set(strict)
@@ -435,10 +459,12 @@ def degree_structure(
             for j in range(k):
                 if i == j or (i, j) in strict_set:
                     continue
-                comp = items[reps[j]].complement()
-                # a complement's level swaps the two ranks
-                comp_sig = tuple(DiffLevel(s.pi_rank, s.sigma_rank) for s in sigs[reps[j]])
-                if not below(comp, comp_sig, items[reps[i]], sigs[reps[i]]):
+                if j in dual:  # complement(rep j) lies in class dual[j]
+                    reduced = dual[j] == i or le.get((dual[j], i), False)
+                else:
+                    comp = items[reps[j]].complement()
+                    reduced = below(comp, signature(comp), items[reps[i]], sigs[reps[i]])
+                if not reduced:
                     slo.append((i, j))
     incomparable = [
         [

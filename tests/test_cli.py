@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -99,6 +100,17 @@ def test_degrees_all(capsys, chain2_doc):
     assert len(report["classes"]) == 4
     assert report["report"]["finitely_very_good"] is True
     assert report["diagnostics"]["max_antichain"] == 2
+
+
+def test_degrees_fan3_stdout_is_pinned(capsys, tmp_path):
+    """Classes, representatives and Hasse order of the fan(3) quotient, byte for byte."""
+    path = tmp_path / "fan3.json"
+    code, _ = run(capsys, "gallery", "build", "fan", "3", "--out", str(path))
+    assert code == 0
+    code, out = run(capsys, "degrees", str(path), "--all", "--cap", "12")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "8d2203b216aa73a2328af6fbe1375da87fa4826644fb6308b5618f0958935b90"
 
 
 def test_degrees_cap_exit_2(capsys, tmp_path):
