@@ -15,7 +15,6 @@ from .hierarchy import classify, oracle_level
 from .poset import FinitePoset
 from .wadge import ReducibilityKind, all_subsets, degree_structure, wadge_reduces
 
-SUITES = ("finite-t0-very-good", "classify-oracle", "duality")
 MAX_ENUM_SIZE = 5
 
 
@@ -122,15 +121,19 @@ def suite_duality(max_size: int) -> VerifyResult:
     return result
 
 
+SUITES = {
+    "finite-t0-very-good": suite_finite_t0_very_good,
+    "classify-oracle": suite_classify_oracle,
+    "duality": suite_duality,
+}
+
+
 def run_suite(name: str, max_size: int) -> VerifyResult:
-    table = {
-        "finite-t0-very-good": suite_finite_t0_very_good,
-        "classify-oracle": suite_classify_oracle,
-        "duality": suite_duality,
-    }
-    if name not in table:
+    if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    return table[name](max_size)
+    # called through its module binding, so a wrapper installed there (the
+    # benchmark's tracer) sees the call
+    return globals()[SUITES[name].__name__](max_size)
 
 
 def level_degree_findings(P: FinitePoset) -> list[str]:

@@ -279,21 +279,10 @@ def _search_map(X: FinitePoset, domains: Sequence[int]) -> Optional[tuple[int, .
     return None
 
 
-def reduces(X: FinitePoset, a: Item, b: Item, kind: ReducibilityKind) -> Optional[MonotoneMap]:
-    """Uniform reducibility test for subset or partition items."""
-    if isinstance(a, SubsetMask) and isinstance(b, SubsetMask):
-        return wadge_reduces(X, a, b, kind)
-    if isinstance(a, KPartition) and isinstance(b, KPartition):
-        return _partition_reduces(X, a, b, kind)
-    raise TypeError("cannot compare a subset with a partition")
-
-
 @dataclass(frozen=True)
 class Diagnostics:
     max_antichain: int
     slo_violations: tuple[tuple[int, int], ...]
-    # no finite structure can have one; kept for interface stability
-    has_infinite_descending: bool = False
 
 
 @dataclass(frozen=True)
@@ -338,7 +327,6 @@ class StructureReport:
     finitely_very_good: bool
     max_antichain: int
     slo_violation_count: int
-    finite_wqo: bool = True
 
 
 def all_subsets(X: FinitePoset, cap: Optional[int] = None) -> list[SubsetMask]:
@@ -373,6 +361,10 @@ def degree_structure(
     ``classify`` runs on at most one set of each complement pair.  Items
     whose complements are absent, and partitions, take the same loop
     with lookups that miss.
+
+    The order between classes is validated and reduced as a
+    ``FinitePoset`` on the class indices; the strict order, Hasse diagram,
+    SLO tests and antichain bound all read its rows.
     """
     items = tuple(items)
     if items:
@@ -441,38 +433,27 @@ def degree_structure(
         if subsets:
             class_of[item.value] = home
     k = len(reps)
-    strict = sorted((i, j) for i in range(k) for j in range(k) if i != j and le.get((i, j), False))
-    strict_set = set(strict)
-    for i, j in strict:
-        for j2, l in strict:
-            if j2 == j and (i, l) not in strict_set and i != l:
-                raise AssertionError("reducibility between representatives is not transitive")
-    hasse = [
-        (i, j)
-        for (i, j) in strict
-        if not any((i, m) in strict_set and (m, j) in strict_set for m in range(k))
-    ]
-    hasse.sort(key=lambda e: (_item_key(items[reps[e[0]]]), _item_key(items[reps[e[1]]])))
+    # the searches must give a partial order; validation raises if they do not
+    leq = tuple(tuple(i == j or le[(i, j)] for j in range(k)) for i in range(k))
+    order = FinitePoset(tuple(map(str, range(k))), leq)
+    up, down = order._up_int, order._down_int  # bit j of up[i] is set iff i <= j
+    strict = [(i, j) for i, above in enumerate(order._strict_above) for j in above]
+    rep_key = [_item_key(items[r]) for r in reps]
+    hasse = sorted(order.hasse_edges(), key=lambda e: (rep_key[e[0]], rep_key[e[1]]))
     slo: list[tuple[int, int]] = []
     if subsets:
         for i in range(k):
             for j in range(k):
-                if i == j or (i, j) in strict_set:
+                if up[i] >> j & 1:
                     continue
                 if j in dual:  # complement(rep j) lies in class dual[j]
-                    reduced = dual[j] == i or le.get((dual[j], i), False)
+                    reduced = up[dual[j]] >> i & 1
                 else:
                     comp = items[reps[j]].complement()
                     reduced = below(comp, signature(comp), items[reps[i]], sigs[reps[i]])
                 if not reduced:
                     slo.append((i, j))
-    incomparable = [
-        [
-            i != j and (i, j) not in strict_set and (j, i) not in strict_set
-            for j in range(k)
-        ]
-        for i in range(k)
-    ]
+    incomparable = [[not (up[i] | down[i]) >> j & 1 for j in range(k)] for i in range(k)]
     diag = Diagnostics(
         max_antichain=_max_clique(incomparable) if k else 0,
         slo_violations=tuple(slo),

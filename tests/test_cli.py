@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import product
 
 import pytest
 
@@ -111,6 +112,21 @@ def test_degrees_fan3_stdout_is_pinned(capsys, tmp_path):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "8d2203b216aa73a2328af6fbe1375da87fa4826644fb6308b5618f0958935b90"
+
+
+def test_partitions_all_colorings_stdout_is_pinned(capsys, tmp_path):
+    """Every 3-partition of a V beside a 2-chain: 48 classes, 426 strict pairs, 99 Hasse edges."""
+    path = tmp_path / "v_chain2.json"
+    doc = {
+        "elements": ["e0", "e1", "e2", "e3", "e4"],
+        "covers": [["e0", "e4"], ["e1", "e4"], ["e2", "e3"]],
+    }
+    path.write_text(json.dumps(doc))
+    colorings = ["".join(map(str, c)) for c in product(range(3), repeat=5)]
+    code, out = run(capsys, "partitions", str(path), *colorings, "-k", "3")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "693ce2436b1277564da062b3ab49f992edfb17659410d320e74b3c143abaa149"
 
 
 def test_degrees_cap_exit_2(capsys, tmp_path):

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given
@@ -12,6 +12,7 @@ from finwadge import (
     MonotoneMap,
     ReducibilityKind,
     SpaceMismatch,
+    antichain,
     build_poset,
     chain,
     classify,
@@ -36,7 +37,7 @@ from finwadge.enumeration import (
     random_retraction,
 )
 from finwadge.verify import level_degree_findings
-from finwadge.wadge import _max_clique, _search_map, all_subsets, reduces
+from finwadge.wadge import _max_clique, _partition_reduces, _search_map, all_subsets
 
 from conftest import (
     all_monotone_maps,
@@ -161,8 +162,8 @@ def test_all_functions_partition_missing_color():
     X = chain(40)
     mu = KPartition(X.space_id, 3, (0,) * 38 + (1, 2))
     nu = KPartition(X.space_id, 3, (1, 0) * 20)  # no color 2
-    assert reduces(X, mu, nu, ReducibilityKind.ALL_FUNCTIONS) is None
-    w = reduces(X, nu, mu, ReducibilityKind.ALL_FUNCTIONS)
+    assert _partition_reduces(X, mu, nu, ReducibilityKind.ALL_FUNCTIONS) is None
+    w = _partition_reduces(X, nu, mu, ReducibilityKind.ALL_FUNCTIONS)
     assert w is not None and w.image == (38, 0) * 20
 
 
@@ -320,7 +321,6 @@ def test_structure_label_fields(small_poset_zoo):
     L2 = small_poset_zoo["chain2"]
     rep = structure_label(degree_structure(L2, all_subsets(L2)))
     assert rep.finitely_very_good
-    assert rep.finite_wqo
     parts = constant_partitions(L2, 3)
     rep3 = structure_label(degree_structure(L2, parts))
     assert rep3.max_antichain == 3
@@ -526,7 +526,8 @@ def test_search_map_matches_reference_oracle():
 
 
 @pytest.mark.parametrize(
-    "case", ["wadge-n5", "any-and-partitions-n4", "fans", "random-6-8", "open-families-4-8"]
+    "case",
+    ["wadge-n5", "any-and-partitions-n4", "partitions-n5", "fans", "random-6-8", "open-families-4-8"],
 )
 def test_degree_structure_matches_reference_oracle(case):
     """Classes, representatives, order, Hasse diagram and diagnostics.
@@ -547,6 +548,13 @@ def test_degree_structure_matches_reference_oracle(case):
                 runs.append((P, all_subsets(P), ReducibilityKind.ALL_FUNCTIONS))
                 parts = [random_partition(rng, P, 3) for _ in range(30)]
                 runs += [(P, parts, kind) for kind in ReducibilityKind]
+    elif case == "partitions-n5":
+        # every 3-partition of a 3-chain plus two points and of a V beside a
+        # 2-chain: 37 and 48 classes, hundreds of strict pairs
+        for covers in ([(2, 3), (3, 4)], [(0, 4), (1, 4), (2, 3)]):
+            P = build_poset("01234", [(str(a), str(b)) for a, b in covers])
+            parts = [KPartition(P.space_id, 3, c) for c in product(range(3), repeat=5)]
+            runs.append((P, parts, ReducibilityKind.WADGE))
     elif case == "fans":
         runs = [(F, all_subsets(F), ReducibilityKind.WADGE) for F in (fan(1).space, fan(2).space)]
     elif case == "random-6-8":
@@ -563,6 +571,23 @@ def test_degree_structure_matches_reference_oracle(case):
             runs += [(P, items, kind) for items in (sample, partial) for kind in ReducibilityKind]
     for P, items, kind in runs:
         assert degree_structure(P, items, kind) == reference_degree_structure(P, items, kind)
+
+
+def test_non_transitive_relation_is_rejected(monkeypatch):
+    """A search result that breaks transitivity fails the order's validation."""
+    X = antichain(3)
+    items = [X.mask_from_indices([i]) for i in range(3)]  # no complement is an item
+    reduced = {(0, 1), (1, 2)}  # {a0} < {a1} < {a2}, but not {a0} < {a2}
+
+    def fake_first_map(P, domains, kind):
+        # the domains of {ai} into {aj}: element i may only go to j
+        i = next(x for x, d in enumerate(domains) if d.bit_count() == 1)
+        j = domains[i].bit_length() - 1
+        return MonotoneMap(P.space_id, (j,) * P.n) if (i, j) in reduced else None
+
+    monkeypatch.setattr(wadge, "_first_map", fake_first_map)
+    with pytest.raises(ValueError, match="transitive"):
+        degree_structure(X, items, ReducibilityKind.ALL_FUNCTIONS)
 
 
 def test_fan3_quotient_is_decided(monkeypatch):
