@@ -2,9 +2,12 @@
 
 A subset of a finite T0 space sits at an exact finite level of the
 Hausdorff difference hierarchy.  ``classify`` locates that level through
-longest alternating chains; ``oracle_level`` recomputes it by exhausting
-increasing open sequences straight from the definition, so the two
-routes check each other.
+longest alternating chains, found in one pass over a linear extension and
+the cover edges that gives both ranks at once; ``longest_alternating_chain``
+reuses that pass and rebuilds a witness along the chain only.
+``oracle_level`` recomputes the level by exhausting increasing open
+sequences straight from the definition, so the two routes check each
+other.
 
 Level calibration: "length" of a chain is its element count, and the
 least n with A in the n-th sigma level equals the longest alternating
@@ -95,56 +98,91 @@ def is_alternating(X: FinitePoset, A: SubsetMask, chain: AlternatingChain) -> bo
 def longest_alternating_chain(X: FinitePoset, A: SubsetMask, starts_in: bool) -> AlternatingChain:
     """A maximum-length alternating chain with the requested first point.
 
-    Dynamic programming over a linear extension: best[x] is the longest
-    admissible chain ending at x, extended from strictly smaller elements
-    of the opposite membership.  Length 0 means no such chain exists
-    (e.g. starts_in=True with an empty A).
+    best[x] is the longest admissible chain ending at x.  Cutting the
+    first point off an alternating chain leaves one, so every length up
+    to length[x] (see ``_reach``) ends at x; a chain's length and the
+    membership of its last point fix the membership of its first, so
+    best[x] is length[x] or length[x] - 1.  The chain is then rebuilt
+    along itself only: the top is the lowest index with the largest best,
+    and each point's parent is the lowest-index element strictly below it
+    whose best is one less (that length already fixes the opposite
+    membership), found with one AND against a bitmask of the elements of
+    that length.  Length 0 means no such chain exists (e.g.
+    starts_in=True with an empty A).
     """
     X.check_mask(A)
-    best, parent = _chain_table(X, A, starts_in)
-    top = -1
-    top_len = 0
+    a = A.as_int()
+    reach = _reach(X, a)
+    wrong_side = 0 if starts_in else 1
+    best = []
     for x in range(X.n):
-        if best[x] > top_len:
-            top_len = best[x]
-            top = x
-    if top < 0:
+        inside = a >> x & 1
+        length = reach[inside ^ 1][x] + 1
+        # (inside ^ length) & 1 is 0 iff a longest chain ending at x starts inside
+        best.append(length - ((inside ^ length ^ wrong_side) & 1))
+    top_len = max(best, default=0)
+    if top_len == 0:
         return AlternatingChain((), starts_in)
+    of_length = [0] * (top_len + 1)  # bit x of of_length[k] is set iff best[x] == k
+    for x, k in enumerate(best):
+        of_length[k] |= 1 << x
+    down = X._down_int
     points: list[int] = []
-    while top >= 0:
-        points.append(top)
-        top = parent[top]
+    candidates = of_length[top_len]
+    for k in range(top_len - 1, -1, -1):
+        x = (candidates & -candidates).bit_length() - 1
+        points.append(x)
+        candidates = down[x] & of_length[k]
     return AlternatingChain(tuple(reversed(points)), starts_in)
 
 
-def _chain_table(X: FinitePoset, A: SubsetMask, starts_in: bool) -> tuple[list[int], list[int]]:
+def _reach(X: FinitePoset, a: int) -> tuple[list[int], list[int]]:
+    """One pass over a linear extension and the cover edges.
+
+    Let length[y] be the longest alternating chain ending at y.  reach[m][x]
+    is the largest length[y] over y <= x with membership m (0 if there is
+    none).  The down-set of x is x together with the down-sets of its lower
+    covers, so the lower covers' entries give the maxima over everything
+    strictly below x, and length[x] = reach[1 - m][x] + 1 for x of
+    membership m.
+    """
     n = X.n
-    best = [0] * n
-    parent = [-1] * n
-    a = A.as_int()
-    preds = X._strict_below
+    outside, inside = [0] * n, [0] * n
+    below = X._cover_below
     for x in X.linext:
-        inside = a >> x & 1
-        if inside == starts_in:
-            best[x] = 1
-        for y in preds[x]:
-            if a >> y & 1 == inside or best[y] == 0:
-                continue
-            if best[y] + 1 > best[x]:
-                best[x] = best[y] + 1
-                parent[x] = y
-    return best, parent
+        same, other = (inside, outside) if a >> x & 1 else (outside, inside)
+        covers = below[x]
+        if not covers:
+            same[x] = 1
+            continue
+        if len(covers) == 1:  # the common case, without the two max() calls
+            (c,) = covers
+            length, same_below = other[c] + 1, same[c]
+        else:
+            length = max(map(other.__getitem__, covers)) + 1
+            same_below = max(map(same.__getitem__, covers))
+        same[x] = length if length > same_below else same_below
+        other[x] = length - 1
+    return outside, inside
 
 
 def classify(X: FinitePoset, A: SubsetMask) -> DiffLevel:
     """Exact difference-hierarchy level of A, via alternating chains.
 
-    Approximability plays no role here: on a finite poset the up-set of
-    every element is open, so every subset is approximable.
+    Both ranks come from the one pass of ``_reach``.  With L the longest
+    alternating chain, each rank is L or L - 1 (cut the first point off a
+    longest chain), and it is L iff some chain of length L ends at a point
+    whose membership makes it start on that rank's side: inside A iff the
+    last point's membership is L's parity.  Approximability plays no role
+    here: on a finite poset the up-set of every element is open, so every
+    subset is approximable.
     """
     X.check_mask(A)
-    sigma = max(_chain_table(X, A, True)[0], default=0)
-    pi = max(_chain_table(X, A, False)[0], default=0)
+    outside, inside = _reach(X, A.as_int())
+    ends = (max(outside, default=0), max(inside, default=0))  # longest chain ending outside, inside A
+    top = max(ends)
+    sigma = top if ends[top & 1] == top else top - 1
+    pi = top if ends[top & 1 ^ 1] == top else top - 1
     return DiffLevel(sigma, pi)
 
 

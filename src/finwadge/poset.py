@@ -108,11 +108,14 @@ class FinitePoset:
 
     ``leq`` is the full order matrix (reflexive, antisymmetric,
     transitive; validated at construction) and ``linext`` a cached
-    linear extension.  The int rows of the order, the linear extension
-    and the ``space_id`` fingerprint are built at construction; the cover
-    matrix (the transitive reduction) and the other derived index
-    structures are derived from the int rows on first use and then
-    reused by all operations.
+    linear extension.  ``leq`` may also be given as its int rows (bit j
+    of row i set iff i <= j), as ``build_poset`` does; it is then stored
+    as the bool matrix, converted once.  The int rows of the order and of
+    the cover relation, the linear extension and the ``space_id``
+    fingerprint (of the labels and the int rows) are built at
+    construction; the cover matrix (the transitive reduction) and the
+    other derived index structures are derived from the int rows on first
+    use and then reused by all operations.
     """
 
     labels: tuple[str, ...]
@@ -123,10 +126,18 @@ class FinitePoset:
         n = len(self.labels)
         if len(set(self.labels)) != n:
             raise DuplicateLabelError("element labels must be distinct")
-        if len(self.leq) != n or any(len(row) != n for row in self.leq):
+        if len(self.leq) != n:
             raise ValueError("leq matrix shape does not match label count")
         # bit j of up[i], and bit i of down[j], is set iff i <= j
-        up = tuple(map(_row_int, self.leq))
+        if n and all(type(row) is int for row in self.leq):
+            up = tuple(self.leq)
+            if any(row < 0 or row >> n for row in up):
+                raise ValueError("leq matrix shape does not match label count")
+            object.__setattr__(self, "leq", tuple(_bool_row(row, n) for row in up))
+        else:
+            if any(len(row) != n for row in self.leq):
+                raise ValueError("leq matrix shape does not match label count")
+            up = tuple(map(_row_int, self.leq))
         down = tuple(map(_row_int, zip(*self.leq)))
         for i, row in enumerate(up):
             if not row >> i & 1:
@@ -157,7 +168,8 @@ class FinitePoset:
         object.__setattr__(self, "linext", linext)
         object.__setattr__(self, "_up_int", up)
         object.__setattr__(self, "_down_int", down)
-        fingerprint = hashlib.sha256(repr((self.labels, self.leq)).encode()).hexdigest()[:16]
+        object.__setattr__(self, "_cover_int", covers)
+        fingerprint = hashlib.sha256(repr((self.labels, up)).encode()).hexdigest()[:16]
         object.__setattr__(self, "space_id", fingerprint)
 
     # -- basic accessors -------------------------------------------------
@@ -199,7 +211,7 @@ class FinitePoset:
 
     @cached_property
     def _cover_above(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(_members(row)) for row in _cover_rows(self._up_int))
+        return tuple(tuple(_members(row)) for row in self._cover_int)
 
     @cached_property
     def _cover_below(self) -> tuple[tuple[int, ...], ...]:
@@ -212,7 +224,7 @@ class FinitePoset:
     @cached_property
     def cover(self) -> tuple[tuple[bool, ...], ...]:
         """The cover matrix: the transitive reduction of ``leq``."""
-        return tuple(_bool_row(row, self.n) for row in _cover_rows(self._up_int))
+        return tuple(_bool_row(row, self.n) for row in self._cover_int)
 
     def hasse_edges(self) -> tuple[tuple[int, int], ...]:
         """Cover pairs (lower, upper), sorted by index."""
@@ -370,8 +382,9 @@ class FinitePoset:
 def build_poset(labels: Sequence[str], covers: Sequence[tuple[str, str]]) -> FinitePoset:
     """Build the poset generated by cover pairs (lower, upper).
 
-    The order is the reflexive-transitive closure of the pairs; a closure
-    that violates antisymmetry is rejected with CycleError.
+    The order is the reflexive-transitive closure of the pairs, closed on
+    int rows and handed to FinitePoset as such; a closure that violates
+    antisymmetry is rejected with CycleError.
     """
     labels = tuple(str(x) for x in labels)
     if len(set(labels)) != len(labels):
@@ -393,7 +406,7 @@ def build_poset(labels: Sequence[str], covers: Sequence[tuple[str, str]]) -> Fin
         bit, row = 1 << k, up[k]
         for i in compress(range(n), map(bit.__and__, up)):
             up[i] |= row
-    return FinitePoset(labels, tuple(_bool_row(row, n) for row in up))
+    return FinitePoset(labels, tuple(up))
 
 
 def poset_isomorphic(X: FinitePoset, Y: FinitePoset) -> Optional[tuple[int, ...]]:
@@ -492,10 +505,10 @@ def _bool_row(row: int, n: int) -> tuple[bool, ...]:
     return tuple([bit == "1" for bit in format(row, f"0{n}b")[::-1]])
 
 
-def _cover_rows(up: Sequence[int]) -> list[int]:
+def _cover_rows(up: Sequence[int]) -> tuple[int, ...]:
     """Bitmask rows of the cover relation: the minimal strict successors of each element."""
     strict = [row & ~(1 << i) for i, row in enumerate(up)]
-    return [row & ~reduce(or_, compress(strict, _bit_flags(row)), 0) for row in strict]
+    return tuple([row & ~reduce(or_, compress(strict, _bit_flags(row)), 0) for row in strict])
 
 
 def _bit_flags(value: int) -> bytes:

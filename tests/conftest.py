@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from finwadge import CycleError, FinitePoset, SubsetMask, build_poset, classify, level_leq
+from finwadge.hierarchy import AlternatingChain
 from finwadge.poset import _members
 from finwadge.wadge import DegreeStructure, Diagnostics, ReducibilityKind, _item_key
 
@@ -73,6 +74,53 @@ def brute_longest_alternating(P: FinitePoset, A: SubsetMask, starts_in: bool) ->
         if A.has(start) == starts_in:
             grow(start, 1)
     return best
+
+
+def reference_longest_alternating_chain(X: FinitePoset, A: SubsetMask, starts_in: bool) -> AlternatingChain:
+    """A maximum-length alternating chain with the requested first point.
+
+    Dynamic programming over a linear extension: best[x] is the longest
+    admissible chain ending at x, extended from strictly smaller elements
+    of the opposite membership.  Length 0 means no such chain exists
+    (e.g. starts_in=True with an empty A).
+
+    The former library code, kept as the oracle of the cover-edge pass:
+    it walks every comparable pair x < y, once per starting side.
+    """
+    X.check_mask(A)
+    best, parent = _reference_chain_table(X, A, starts_in)
+    top = -1
+    top_len = 0
+    for x in range(X.n):
+        if best[x] > top_len:
+            top_len = best[x]
+            top = x
+    if top < 0:
+        return AlternatingChain((), starts_in)
+    points: list[int] = []
+    while top >= 0:
+        points.append(top)
+        top = parent[top]
+    return AlternatingChain(tuple(reversed(points)), starts_in)
+
+
+def _reference_chain_table(X: FinitePoset, A: SubsetMask, starts_in: bool) -> tuple[list[int], list[int]]:
+    n = X.n
+    best = [0] * n
+    parent = [-1] * n
+    a = A.as_int()
+    preds = X._strict_below
+    for x in X.linext:
+        inside = a >> x & 1
+        if inside == starts_in:
+            best[x] = 1
+        for y in preds[x]:
+            if a >> y & 1 == inside or best[y] == 0:
+                continue
+            if best[y] + 1 > best[x]:
+                best[x] = best[y] + 1
+                parent[x] = y
+    return best, parent
 
 
 def reference_dimension(P: FinitePoset) -> int:

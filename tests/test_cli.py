@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from itertools import product
 
 import pytest
@@ -112,6 +113,24 @@ def test_degrees_fan3_stdout_is_pinned(capsys, tmp_path):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "8d2203b216aa73a2328af6fbe1375da87fa4826644fb6308b5618f0958935b90"
+
+
+def test_classify_large_space_stdout_is_pinned(capsys, tmp_path):
+    """Levels and witness chains of the named fan(18) sets and three seeded 160-chain subsets."""
+    built = fan(18)
+    fan_path, chain_path = tmp_path / "fan18.json", tmp_path / "c160.json"
+    save_document(PosetDocument(built.space, dict(built.sets)), fan_path)
+    save_document(PosetDocument(chain(160)), chain_path)
+    rng = random.Random(160)
+    argvs = [["classify", str(fan_path), name] for name in sorted(built.sets)]
+    argvs += [["classify", str(chain_path), "".join(rng.choice("01") for _ in range(160))] for _ in range(3)]
+    out = ""
+    for argv in argvs:
+        code, text = run(capsys, *argv)
+        assert code == 0
+        out += text
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "db51842962aefcc41638d9a54a9b8c8fa366e30870163decee43a8c47041ba59"
 
 
 def test_partitions_all_colorings_stdout_is_pinned(capsys, tmp_path):

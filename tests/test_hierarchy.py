@@ -16,6 +16,7 @@ from finwadge import (
     d_n,
     fan,
     find_difference_representation,
+    lex_product,
     level_leq,
     longest_alternating_chain,
     oracle_level,
@@ -24,7 +25,7 @@ from finwadge.enumeration import all_posets, random_mask, random_monotone_map, r
 from finwadge.hierarchy import is_alternating
 from finwadge.wadge import all_subsets
 
-from conftest import brute_longest_alternating, poset_with_mask
+from conftest import brute_longest_alternating, poset_with_mask, reference_longest_alternating_chain
 
 
 def test_d1_is_the_open_set():
@@ -80,6 +81,55 @@ def test_longest_chain_matches_bruteforce(pm):
         ch = longest_alternating_chain(P, A, starts_in)
         assert is_alternating(P, A, ch)
         assert len(ch) == brute_longest_alternating(P, A, starts_in)
+
+
+def _assert_matches_parent_code(P, A):
+    chains = [longest_alternating_chain(P, A, starts_in) for starts_in in (True, False)]
+    for ch in chains:
+        assert ch == reference_longest_alternating_chain(P, A, ch.starts_in)
+    assert classify(P, A) == DiffLevel(len(chains[0]), len(chains[1]))
+
+
+def test_chain_matches_parent_code_exhaustively():
+    for n in range(1, 6):
+        for P in all_posets(n):
+            for A in all_subsets(P):
+                _assert_matches_parent_code(P, A)
+
+
+def test_chain_matches_parent_code_random():
+    rng = random.Random(27031)
+    for _ in range(60):
+        P = random_poset(rng, rng.randint(8, 40))
+        for _ in range(4):
+            _assert_matches_parent_code(P, random_mask(rng, P))
+
+
+def test_chain_matches_parent_code_on_large_spaces():
+    rng = random.Random(160)
+    for P in (chain(160), fan(18).space, lex_product(antichain(3), chain(60))):
+        for _ in range(6):
+            _assert_matches_parent_code(P, random_mask(rng, P))
+
+
+def test_chain_levels_at_scale_use_cover_edges_only():
+    # on a chain the ranks are the number of maximal membership runs,
+    # counted from the first run on the requested side
+    n = 1100
+    X = chain(n)
+    rng = random.Random(1100)
+    masks = [0, (1 << n) - 1, 1, 1 << n - 1, sum(1 << i for i in range(0, n, 2))]
+    masks += [rng.getrandbits(n) for _ in range(4)]
+    for value in masks:
+        A = X.mask_from_int(value)
+        runs = 1 + sum(A.has(i) != A.has(i + 1) for i in range(n - 1))
+        first_inside = A.has(0)
+        assert classify(X, A) == DiffLevel(runs - (not first_inside), runs - first_inside)
+        chain_in = longest_alternating_chain(X, A, True)
+        chain_out = longest_alternating_chain(X, A, False)
+        assert (len(chain_in), len(chain_out)) == (runs - (not first_inside), runs - first_inside)
+        assert is_alternating(X, A, chain_in) and is_alternating(X, A, chain_out)
+    assert "_strict_below" not in X.__dict__
 
 
 def test_classify_examples(small_poset_zoo):

@@ -151,6 +151,23 @@ def test_constructor_matches_reference_oracle():
     assert outcomes == {"ok", ValueError, CycleError}
 
 
+def test_int_rows_construct_the_same_poset():
+    # build_poset hands over int rows; they are validated like the bool
+    # matrix, and the poset and its space_id are the same either way
+    for labels, leq in _order_matrices():
+        if not labels:
+            continue
+        rows = tuple(sum(1 << j for j, b in enumerate(row) if b) for row in leq)
+        got = _outcome(FinitePoset, labels, rows)
+        assert got == _outcome(FinitePoset, labels, leq), (labels, leq)
+        if isinstance(got, FinitePoset):
+            assert got.leq == leq and got.space_id == FinitePoset(labels, leq).space_id
+            assert got.cover == reference_order(labels, leq)[0]
+    for rows in ((0b11, 0b110), (0b1, -1)):
+        with pytest.raises(ValueError, match="shape"):
+            FinitePoset(("e0", "e1"), rows)
+
+
 def test_build_poset_matches_reference_closure():
     # seeded pair lists in random order and direction, many of them cyclic;
     # the labels are shuffled so index order differs from label order
