@@ -36,7 +36,7 @@ def _sizes(max_size: int) -> range:
     if max_size > MAX_ENUM_SIZE:
         raise CapExceeded(f"exhaustive enumeration is capped at {MAX_ENUM_SIZE} elements")
     if max_size < 1:
-        raise CapExceeded("size bound must be at least 1")
+        raise ValueError("size bound must be at least 1")
     return range(1, max_size + 1)
 
 

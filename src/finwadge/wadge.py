@@ -351,16 +351,21 @@ def degree_structure(
     opens a new class is related to every representative, and the
     signatures pre-filter those searches as in ``wadge_reduces``.
 
-    Subsets also use complement duality: A = f^-1(B) iff X - A =
-    f^-1(X - B), with the same f.  So the complements of one class's
-    members all lie in a single class, ``dual`` of it, and an item whose
-    complement is already placed in a class with a known dual joins that
-    dual without a search.  An SLO test of complement(rep j) <= rep i is
-    the recorded relation between dual[j] and i, and the level of a
-    complement is its set's level with the two ranks swapped, so
-    ``classify`` runs on at most one set of each complement pair.  Items
-    whose complements are absent, and partitions, take the same loop
-    with lookups that miss.
+    Subsets under WADGE need no search outside equal Delta levels: for
+    subsets A, B of a finite poset, B reduces to A iff level_leq(B, A),
+    unless both are ProperDelta(k) with the same k.  Proof: let b(x) be
+    the longest B-alternating chain that ends at x and starts inside B.
+    A chain ending at x < y extends by y or swaps x for y, so b is
+    monotone; x is in B iff b(x) is odd; and max b = sigma_B.  If
+    sigma_B < pi_A, let q_1 < ... < q_{pi_A} be a longest A-alternating
+    chain starting outside A.  Then f(x) = q_{b(x)+1} is monotone, and
+    f(x) is in A iff b(x) + 1 is even iff x is in B, so B = f^-1(A).  If
+    pi_B < sigma_A, the dual map uses chains starting outside B and
+    inside A.  Under level_leq(B, A), sigma_B >= pi_A and pi_B >= sigma_A
+    give pi_A <= sigma_B <= sigma_A <= pi_B <= pi_A, so both conditions
+    fail only when all four ranks are equal.  The level of a complement
+    is its set's level with the two ranks swapped, so ``classify`` runs
+    on at most one set of each complement pair.
 
     The order between classes is validated and reduced as a
     ``FinitePoset`` on the class indices; the strict order, Hasse diagram,
@@ -397,43 +402,36 @@ def degree_structure(
             return (level(item),)
         return tuple(level(item.color_class(c)) for c in range(item.k))
 
-    def search(a: Item, b: Item) -> bool:
-        return _first_map(X, _domains(X, a, b), kind) is not None
-
     def below(a: Item, sa: tuple, b: Item, sb: tuple) -> bool:
-        return all(map(level_leq, sa, sb)) and search(a, b)
+        if not all(map(level_leq, sa, sb)):
+            return False
+        if subsets and wadge and (sa != sb or sa[0].kind != "delta"):
+            return True  # the rank map of the proof above reduces a to b
+        return _first_map(X, _domains(X, a, b), kind) is not None
 
     sigs = [signature(item) for item in items]
     reps: list[int] = []
     classes: list[list[int]] = []
     by_signature: dict[tuple, list[int]] = {}
     le: dict[tuple[int, int], bool] = {}
-    class_of: dict[int, int] = {}  # subset value -> class of the items with that value
-    dual: dict[int, int] = {}  # class -> the class holding its members' complements
     for idx, item in enumerate(items):
-        mirror = class_of.get(item.value ^ full) if subsets else None
-        home = None if mirror is None else dual.get(mirror)
-        if home is None:
-            peers = by_signature.setdefault(sigs[idx], [])
-            home = next(
-                (ci for ci in peers if search(item, items[reps[ci]]) and search(items[reps[ci]], item)),
-                None,
-            )
-            if home is None:
-                home = len(reps)
-                for cj, rep in enumerate(reps):
-                    le[(home, cj)] = below(item, sigs[idx], items[rep], sigs[rep])
-                    le[(cj, home)] = below(items[rep], sigs[rep], item, sigs[idx])
-                reps.append(idx)
-                classes.append([])
-                peers.append(home)
-            if mirror is not None:
-                dual[mirror], dual[home] = home, mirror
+        sig = sigs[idx]
+        peers = by_signature.setdefault(sig, [])
+        for home in peers:
+            peer = items[reps[home]]
+            if below(item, sig, peer, sig) and below(peer, sig, item, sig):
+                break
+        else:
+            home = len(reps)
+            for cj, rep in enumerate(reps):
+                le[(home, cj)] = below(item, sig, items[rep], sigs[rep])
+                le[(cj, home)] = below(items[rep], sigs[rep], item, sig)
+            reps.append(idx)
+            classes.append([])
+            peers.append(home)
         classes[home].append(idx)
-        if subsets:
-            class_of[item.value] = home
     k = len(reps)
-    # the searches must give a partial order; validation raises if they do not
+    # the relation must be a partial order; validation raises if it is not
     leq = tuple(tuple(i == j or le[(i, j)] for j in range(k)) for i in range(k))
     order = FinitePoset(tuple(map(str, range(k))), leq)
     up, down = order._up_int, order._down_int  # bit j of up[i] is set iff i <= j
@@ -446,12 +444,8 @@ def degree_structure(
             for j in range(k):
                 if up[i] >> j & 1:
                     continue
-                if j in dual:  # complement(rep j) lies in class dual[j]
-                    reduced = up[dual[j]] >> i & 1
-                else:
-                    comp = items[reps[j]].complement()
-                    reduced = below(comp, signature(comp), items[reps[i]], sigs[reps[i]])
-                if not reduced:
+                comp = items[reps[j]].complement()
+                if not below(comp, signature(comp), items[reps[i]], sigs[reps[i]]):
                     slo.append((i, j))
     incomparable = [[not (up[i] | down[i]) >> j & 1 for j in range(k)] for i in range(k)]
     diag = Diagnostics(

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, settings, strategies as st
 from finwadge import CycleError, FinitePoset, SubsetMask, build_poset, classify, level_leq
 from finwadge.hierarchy import AlternatingChain
 from finwadge.poset import _members
-from finwadge.wadge import DegreeStructure, Diagnostics, ReducibilityKind, _item_key
+from finwadge.wadge import DegreeStructure, Diagnostics, MonotoneMap, ReducibilityKind, _item_key
 
 settings.register_profile(
     "ci",
@@ -121,6 +121,24 @@ def _reference_chain_table(X: FinitePoset, A: SubsetMask, starts_in: bool) -> tu
                 best[x] = best[y] + 1
                 parent[x] = y
     return best, parent
+
+
+def rank_map(P: FinitePoset, B: SubsetMask, A: SubsetMask):
+    """The reduction of B to A built in the proof of the level theorem, or None.
+
+    b(x) is the longest B-alternating chain that ends at x and starts
+    inside B (0 if there is none), and q_1 < ... < q_m a longest
+    A-alternating chain that starts outside A.  If max b < m, the map is
+    f(x) = q_{b(x)+1}.  Otherwise the dual map tries the chains that start
+    outside B and inside A.  None if neither fits, which under
+    level_leq(B, A) happens only when B and A are ProperDelta(k) for one k.
+    """
+    for starts_in in (True, False):
+        b, _ = _reference_chain_table(P, B, starts_in)
+        q = reference_longest_alternating_chain(P, A, not starts_in).points
+        if max(b, default=0) < len(q):
+            return MonotoneMap(P.space_id, tuple(q[k] for k in b))
+    return None
 
 
 def reference_dimension(P: FinitePoset) -> int:

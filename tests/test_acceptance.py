@@ -91,15 +91,16 @@ def test_criterion_4_level_degree_coherence():
     """Faithful form of the completeness claim; red by measurement.
 
     Subsets sharing a proper-Sigma or proper-Pi label are mutually
-    reducible on every poset with <= 5 elements, and lower Sigma levels
-    reduce strictly into higher ones.  The same claim for proper-Delta
-    labels is refuted by the four-element order e0<e2, e0<e3, e1<e3:
-    the two Delta(2) sets {e1,e2} and {e0,e3} are complement-dual and
-    mutually irreducible (checkable against all 31 monotone self-maps).
-    Thirteen of the 87 types up to five elements split this way, always
-    as a complement pair, so the structures stay semi-well-ordered and
-    criterion 2 is unaffected.  The criterion is asserted as stated and
-    the violations are printed as findings.
+    reducible on every finite poset, and lower Sigma levels reduce
+    strictly into higher ones (the level theorem of degree_structure).
+    The same claim for proper-Delta labels is refuted by the
+    four-element order e0<e2, e0<e3, e1<e3: the two Delta(2) sets
+    {e1,e2} and {e0,e3} are complement-dual and mutually irreducible
+    (checkable against all 31 monotone self-maps).  Thirteen of the 87
+    types up to five elements split this way, eleven into 2 degrees and
+    two into 3, and the structures stay semi-well-ordered, so criterion
+    2 is unaffected.  The criterion is asserted as stated and the
+    violations are printed as findings.
     """
     t0 = time.monotonic()
     findings = []

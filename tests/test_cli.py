@@ -199,6 +199,12 @@ def test_verify_cap(capsys):
     assert code == 2
 
 
+def test_verify_size_below_one_is_an_input_error(capsys):
+    for bound in ("0", "-1"):
+        code, _ = run(capsys, "verify", "duality", "--max", bound)
+        assert code == 1
+
+
 def test_verify_failure_exits_3(capsys, monkeypatch):
     from finwadge.verify import VerifyResult
 

@@ -44,6 +44,7 @@ from conftest import (
     brute_reduces,
     first_map,
     poset_with_two_masks,
+    rank_map,
     reference_degree_structure,
     reference_domains,
     reference_max_clique,
@@ -200,6 +201,51 @@ def test_filter_soundness_exhaustive():
                 for B in subs:
                     if wadge_reduces(P, A, B) is not None:
                         assert level_leq(classify(P, A), classify(P, B))
+
+
+def test_rank_map_reduces_outside_equal_delta_levels():
+    """The constructive half of the level theorem in ``degree_structure``.
+
+    On every pair (B, A) with level_leq(B, A), the rank map of the proof
+    is a monotone map with preimage of A equal to B, unless both sets are
+    ProperDelta(k) for one k, where the proof builds no map.
+    """
+    pairs = 0
+    spaces = [P for n in range(1, 6) for P in all_posets(n)] + [fan(2).space]
+    for P in spaces:
+        subs = all_subsets(P)
+        levels = [classify(P, S) for S in subs]
+        for B, lb in zip(subs, levels):
+            for A, la in zip(subs, levels):
+                if not level_leq(lb, la):
+                    continue
+                f = rank_map(P, B, A)
+                if lb == la and lb.kind == "delta":
+                    assert f is None
+                    continue
+                pairs += 1
+                assert f is not None and is_monotone(P, f) and f.preimage(A) == B
+    assert pairs == 65954
+
+
+def test_searches_only_inside_equal_delta_levels(monkeypatch):
+    """Subset quotients run the kernel only on pairs of one ProperDelta level."""
+    seen = []
+    domains = wadge._domains
+
+    def spy(P, a, b):
+        seen.append((P, a, b))
+        return domains(P, a, b)
+
+    monkeypatch.setattr(wadge, "_domains", spy)
+    for n in range(1, 6):
+        for P in all_posets(n):
+            degree_structure(P, all_subsets(P))
+    monkeypatch.undo()
+    assert seen  # the Delta splits of criterion 4 still need the kernel
+    for P, a, b in seen:
+        la, lb = classify(P, a), classify(P, b)
+        assert la == lb and la.kind == "delta", (P.members(a), P.members(b))
 
 
 def test_duality_same_witness():
@@ -398,10 +444,10 @@ def test_six_element_measurement_is_pinned():
 def test_level_degree_measurement_is_pinned():
     """The measured answer to the completeness question stays stable.
 
-    Labels on the Sigma/Pi side never split below six elements; the
-    Delta side splits on exactly 13 isomorphism types, always into a
-    complement-dual pair, and each split is confirmed here against the
-    exhaustive-map oracle.
+    Labels on the Sigma/Pi side never split (the level theorem of
+    ``degree_structure`` proves this for every finite poset); the Delta
+    side splits on exactly 13 isomorphism types, into 2 or 3 degrees,
+    and each split is confirmed here against the exhaustive-map oracle.
     """
     split_types = 0
     for n in range(1, 6):
@@ -532,10 +578,13 @@ def test_search_map_matches_reference_oracle():
 def test_degree_structure_matches_reference_oracle(case):
     """Classes, representatives, order, Hasse diagram and diagnostics.
 
-    The open families are not closed under complement: random samples
-    with duplicates, and shuffled families holding some complement pairs
-    whole and one side of the others.  Their classes may lack a dual
-    class, so placement and the SLO pass fall back to searching.
+    The reference searches every pair, so on subsets it checks the level
+    theorem that lets ``degree_structure`` skip the search outside equal
+    Delta levels.  The open families are not closed under complement:
+    random samples with duplicates, and shuffled families holding some
+    complement pairs whole and one side of the others.  Their SLO pass
+    tests complements that are not items, whose levels are read off
+    their sets' levels.
     """
     rng = random.Random(f"quotient-{case}")
     runs = []
@@ -606,8 +655,9 @@ def test_fan3_quotient_is_decided(monkeypatch):
     items = all_subsets(X, cap=12)
     D = degree_structure(X, items)
     monkeypatch.undo()
-    # complement duality: without it, 8,300 searches and 4,096 classify calls
-    assert calls == {"search": 4144, "classify": 2048}
+    # fan(3) has no ProperDelta subsets, so the level theorem decides every
+    # pair; one classify per complement pair
+    assert calls == {"search": 0, "classify": 2048}
     assert [len(c) for c in D.classes] == [1, 120, 120, 615, 615, 840, 840, 408, 408, 64, 64, 1]
     assert sum(map(len, D.classes)) == 4096
     assert len(D.strict_order) == 60
