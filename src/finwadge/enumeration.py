@@ -118,7 +118,7 @@ def all_posets(n: int) -> list[FinitePoset]:
 def _ideals(P: FinitePoset) -> list[int]:
     """Down-closed subsets as bitmasks: complements of the up-sets."""
     full = (1 << P.n) - 1
-    return [full & ~O.as_int() for O in P.enumerate_opens()]
+    return [full & ~v for v in P._open_ints]
 
 
 def random_poset(rng: random.Random, n: int) -> FinitePoset:

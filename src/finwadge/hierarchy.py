@@ -53,11 +53,12 @@ class DiffLevel:
 
     @property
     def label(self) -> str:
-        return {
-            "sigma": f"ProperSigma({self.level})",
-            "pi": f"ProperPi({self.level})",
-            "delta": f"ProperDelta({self.level})",
-        }[self.kind]
+        sigma, pi = self.sigma_rank, self.pi_rank
+        if sigma < pi:
+            return f"ProperSigma({sigma})"
+        if pi < sigma:
+            return f"ProperPi({pi})"
+        return f"ProperDelta({sigma})"
 
 
 def level_leq(a: DiffLevel, b: DiffLevel) -> bool:
@@ -213,36 +214,30 @@ def d_n(X: FinitePoset, opens: Sequence[SubsetMask], n: int) -> SubsetMask:
     return X.mask_from_int(result)
 
 
-def find_difference_representation(
-    X: FinitePoset,
-    A: SubsetMask,
-    n: int,
-    opens: Optional[Sequence[SubsetMask]] = None,
-) -> Optional[tuple[SubsetMask, ...]]:
+def find_difference_representation(X: FinitePoset, A: SubsetMask, n: int) -> Optional[tuple[SubsetMask, ...]]:
     """Search for an increasing open sequence whose n-difference equals A.
 
-    Depth-first over inclusion-increasing sequences.  A prefix fixes the
-    membership of every point it covers (the block of a point is its first
-    covering index), so any prefix that already disagrees with A is pruned.
+    Depth-first over inclusion-increasing sequences of the open sets in
+    ``enumerate_opens`` order; the next set is any superset of the union
+    so far, which is the last set chosen.  A prefix fixes the membership
+    of every point it covers (the block of a point is its first covering
+    index), so any prefix that already disagrees with A is pruned.
     """
     X.check_mask(A)
-    if opens is None:
-        opens = list(X.enumerate_opens())
     target = A.as_int()
     if n == 0:
         return () if target == 0 else None
-    ints = [O.as_int() for O in opens]
-    m = len(ints)
-    supersets = [[j for j in range(m) if ints[j] & ints[i] == ints[i]] for i in range(m)]
+    opens = X._open_ints
     include_parity = (n + 1) % 2
 
-    def search(depth: int, last: int, covered: int, decided: int) -> Optional[list[int]]:
+    def search(depth: int, covered: int, decided: int) -> Optional[list[int]]:
         if depth == n:
             return [] if decided == target else None
         include = depth % 2 == include_parity
-        candidates = range(m) if depth == 0 else supersets[last]
-        for j in candidates:
-            fresh = ints[j] & ~covered
+        for O in opens:
+            if O & covered != covered:
+                continue
+            fresh = O & ~covered
             if include:
                 if fresh & ~target:
                     continue
@@ -251,15 +246,15 @@ def find_difference_representation(
                 if fresh & target:
                     continue
                 grown = decided
-            rest = search(depth + 1, j, covered | ints[j], grown)
+            rest = search(depth + 1, O, grown)
             if rest is not None:
-                return [j] + rest
+                return [O] + rest
         return None
 
-    chosen = search(0, -1, 0, 0)
+    chosen = search(0, 0, 0)
     if chosen is None:
         return None
-    return tuple(opens[j] for j in chosen)
+    return tuple(map(X.mask_from_int, chosen))
 
 
 def oracle_level(
@@ -280,18 +275,15 @@ def oracle_level(
         raise CapExceeded(f"|X| = {X.n} exceeds the oracle cap {cap}")
     if n_max is None:
         n_max = X.n
-    opens = list(X.enumerate_opens())
-    sigma = _least_level(X, A, n_max, opens)
-    pi = _least_level(X, A.complement(), n_max, opens)
+    sigma = _least_level(X, A, n_max)
+    pi = _least_level(X, A.complement(), n_max)
     if sigma is None or pi is None:
         raise FinWadgeError(f"no difference representation of length <= {n_max} found")
     return DiffLevel(sigma, pi)
 
 
-def _least_level(
-    X: FinitePoset, A: SubsetMask, n_max: int, opens: Sequence[SubsetMask]
-) -> Optional[int]:
+def _least_level(X: FinitePoset, A: SubsetMask, n_max: int) -> Optional[int]:
     for n in range(n_max + 1):
-        if find_difference_representation(X, A, n, opens) is not None:
+        if find_difference_representation(X, A, n) is not None:
             return n
     return None

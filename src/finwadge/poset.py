@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
+from heapq import heapify, heappop, heappush
 from itertools import compress
 from operator import or_
 from typing import Iterable, Iterator, Optional, Sequence
@@ -116,6 +117,27 @@ class FinitePoset:
     construction; the cover matrix (the transitive reduction) and the
     other derived index structures are derived from the int rows on first
     use and then reused by all operations.
+
+    Construction makes one topological pass over the cover edges.  The
+    cover rows C are read off the int rows U.  ``linext`` is Kahn's order
+    of C, lowest ready index first: an element is placed once all its
+    lower covers are, which in an order means once everything strictly
+    below it is.  U is accepted iff that order exists and, for every x,
+
+        U[x] = {x} | U[c1] | ... | U[ck],   where C[x] = {c1, ..., ck}.
+
+    Proof that this holds iff U is a partial order.  If it holds, C is
+    acyclic, and by induction from the top of ``linext`` each U[x] is the
+    set of elements reachable from x along C.  So U is the
+    reflexive-transitive closure of an acyclic graph: reflexive,
+    transitive, and antisymmetric, since x <= y <= x with x != y would
+    close a cycle.  Conversely, if U is a partial order, C is its Hasse
+    diagram, which is acyclic, and every y > x lies above some upper
+    cover of x, so the equation holds.  Only input that fails the check
+    is scanned row by row, to raise on the first bad pair.  The down rows
+    are pushed up along ``linext``.  Apart from reading off the cover
+    rows (one OR per comparable pair, inside ``reduce``), construction
+    takes O(n + covers) big-int operations.
     """
 
     labels: tuple[str, ...]
@@ -138,36 +160,23 @@ class FinitePoset:
             if any(len(row) != n for row in self.leq):
                 raise ValueError("leq matrix shape does not match label count")
             up = tuple(map(_row_int, self.leq))
-        down = tuple(map(_row_int, zip(*self.leq)))
-        for i, row in enumerate(up):
-            if not row >> i & 1:
-                raise ValueError("order must be reflexive")
-            # row i is sound iff nothing above i is also below it and the
-            # rows of the elements above i add nothing to it
-            if row & down[i] != 1 << i or reduce(or_, compress(up, self.leq[i])) != row:
-                _raise_first_bad_pair(self.labels, up, i)
-        # the lowest-index element with nothing remaining strictly below it
-        # comes next; an element becomes ready only once the last element
-        # strictly below it is gone, and that one is a lower cover of it
         covers = _cover_rows(up)
-        order: list[int] = []
-        remaining = (1 << n) - 1
-        ready = sum(1 << i for i in range(n) if down[i] == 1 << i)
-        while ready:
-            low = ready & -ready
-            x = low.bit_length() - 1
-            order.append(x)
-            remaining ^= low
-            ready ^= low
-            for y in _members(covers[x]):
-                if down[y] & remaining == 1 << y:
-                    ready |= 1 << y
+        above = [tuple(_members(row)) for row in covers]
+        order = _topological_order(above)
+        if order is None or any(
+            reduce(or_, map(up.__getitem__, above[x]), 1 << x) != up[x] for x in reversed(order)
+        ):
+            _reject_order(self.labels, self.leq, up)
+        down = [1 << x for x in range(n)]
+        for x in order:
+            for y in above[x]:
+                down[y] |= down[x]
         linext = tuple(order)
         if linext == _index_order(n):
             linext = _index_order(n)  # one tuple per size, as all_posets makes many
         object.__setattr__(self, "linext", linext)
         object.__setattr__(self, "_up_int", up)
-        object.__setattr__(self, "_down_int", down)
+        object.__setattr__(self, "_down_int", tuple(down))
         object.__setattr__(self, "_cover_int", covers)
         fingerprint = hashlib.sha256(repr((self.labels, up)).encode()).hexdigest()[:16]
         object.__setattr__(self, "space_id", fingerprint)
@@ -324,14 +333,18 @@ class FinitePoset:
         in the worst case; callers that accept arbitrary spaces should cap
         the element count (the CLI defaults to 16).
         """
+        return iter([SubsetMask(self.space_id, self.n, v) for v in self._open_ints])
+
+    @cached_property
+    def _open_ints(self) -> tuple[int, ...]:
+        """The up-sets as bitmasks, in ``enumerate_opens`` order."""
         found = [0]
         for x in reversed(self.linext):  # successors decided first
             bit = 1 << x
             found += [v | bit for v in found if self._up_int[x] & ~v == bit]
-        masks = [self.mask_from_int(v) for v in found]
         # cardinality, then sets containing earlier elements first
-        masks.sort(key=lambda m: (m.count(), m.indices()))
-        return iter(masks)
+        found.sort(key=lambda v: (v.bit_count(), tuple(_members(v))))
+        return tuple(found)
 
     # -- derivatives and dimension ----------------------------------------
 
@@ -383,15 +396,19 @@ def build_poset(labels: Sequence[str], covers: Sequence[tuple[str, str]]) -> Fin
     """Build the poset generated by cover pairs (lower, upper).
 
     The order is the reflexive-transitive closure of the pairs, closed on
-    int rows and handed to FinitePoset as such; a closure that violates
-    antisymmetry is rejected with CycleError.
+    int rows and handed to FinitePoset as such.  The rows are closed from
+    the top of Kahn's order of the pairs: each row ORs in the closed rows
+    of its direct successors, O(n + pairs) ORs in all.  Pairs with a
+    cycle have no such order; their rows are closed by Warshall's pass
+    instead, so that FinitePoset rejects the closure with CycleError on
+    the same first bad pair.
     """
     labels = tuple(str(x) for x in labels)
     if len(set(labels)) != len(labels):
         raise DuplicateLabelError("element labels must be distinct")
     index = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
-    up = [1 << i for i in range(n)]
+    succ = [0] * n
     for pair in covers:
         lo, hi = (str(pair[0]), str(pair[1]))
         if lo not in index:
@@ -400,13 +417,29 @@ def build_poset(labels: Sequence[str], covers: Sequence[tuple[str, str]]) -> Fin
             raise UnknownElement(f"cover pair refers to unknown element {hi!r}")
         if lo == hi:
             raise CycleError(f"cover pair ({lo!r}, {hi!r}) is a loop")
-        up[index[lo]] |= 1 << index[hi]
-    # Warshall's pass: every row holding k takes in k's row
-    for k in range(n):
-        bit, row = 1 << k, up[k]
-        for i in compress(range(n), map(bit.__and__, up)):
-            up[i] |= row
+        succ[index[lo]] |= 1 << index[hi]
+    above = [tuple(_members(row)) for row in succ]
+    order = _topological_order(above)
+    if order is None:
+        return FinitePoset(labels, _warshall_closure(succ))
+    up = [0] * n
+    for x in reversed(order):
+        up[x] = reduce(or_, map(up.__getitem__, above[x]), 1 << x)
     return FinitePoset(labels, tuple(up))
+
+
+def _warshall_closure(succ: Sequence[int]) -> tuple[int, ...]:
+    """Reflexive-transitive closure of successor rows by Warshall's pass.
+
+    Every row holding k takes in k's row.  It also closes graphs with
+    cycles, which have no topological order.
+    """
+    up = [row | 1 << i for i, row in enumerate(succ)]
+    for k in range(len(up)):
+        bit, row = 1 << k, up[k]
+        for i in compress(range(len(up)), map(bit.__and__, up)):
+            up[i] |= row
+    return tuple(up)
 
 
 def poset_isomorphic(X: FinitePoset, Y: FinitePoset) -> Optional[tuple[int, ...]]:
@@ -517,6 +550,47 @@ def _bit_flags(value: int) -> bytes:
 
 
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _topological_order(succ: Sequence[Sequence[int]]) -> Optional[list[int]]:
+    """Kahn's order of the graph with successor lists succ, None if it has a cycle.
+
+    succ[i] lists the j with an edge i -> j, each once.  Among the
+    elements whose predecessors are all placed, the lowest index comes
+    next.
+    """
+    n = len(succ)
+    waiting = [0] * n  # predecessors not yet placed
+    for row in succ:
+        for y in row:
+            waiting[y] += 1
+    ready = [x for x in range(n) if not waiting[x]]
+    heapify(ready)
+    order: list[int] = []
+    while ready:
+        x = heappop(ready)
+        order.append(x)
+        for y in succ[x]:
+            waiting[y] -= 1
+            if not waiting[y]:
+                heappush(ready, y)
+    return order if len(order) == n else None
+
+
+def _reject_order(labels: Sequence[str], leq: Sequence[Sequence[bool]], up: Sequence[int]) -> None:
+    """Raise for rows that are not a partial order, naming the first bad row.
+
+    Rows are checked in index order: row i is sound iff it holds i,
+    nothing above i is also below it, and the rows of the elements above
+    i add nothing to it.
+    """
+    down = tuple(map(_row_int, zip(*leq)))
+    for i, row in enumerate(up):
+        if not row >> i & 1:
+            raise ValueError("order must be reflexive")
+        if row & down[i] != 1 << i or reduce(or_, compress(up, leq[i])) != row:
+            _raise_first_bad_pair(labels, up, i)
+    raise AssertionError("rows form a partial order")
 
 
 def _raise_first_bad_pair(labels: Sequence[str], up: Sequence[int], i: int) -> None:

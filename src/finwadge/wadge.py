@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import CapExceeded, ColorCountMismatch, SpaceMismatch
@@ -333,9 +334,11 @@ def all_subsets(X: FinitePoset, cap: Optional[int] = None) -> list[SubsetMask]:
     """Every subset of the space, by cardinality then earliest members."""
     if cap is not None and X.n > cap:
         raise CapExceeded(f"|X| = {X.n} exceeds the all-subsets cap {cap}")
-    masks = [X.mask_from_int(v) for v in range(1 << X.n)]
-    masks.sort(key=lambda m: (m.count(), m.indices()))
-    return masks
+    return [
+        SubsetMask(X.space_id, X.n, sum(1 << i for i in members))
+        for k in range(X.n + 1)
+        for members in combinations(range(X.n), k)
+    ]
 
 
 def degree_structure(

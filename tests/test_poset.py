@@ -20,7 +20,9 @@ from finwadge import (
     lex_product,
     poset_isomorphic,
 )
+from finwadge import poset
 from finwadge.enumeration import all_posets, random_poset
+from finwadge.wadge import all_subsets
 
 from conftest import (
     brute_opens,
@@ -181,6 +183,85 @@ def test_build_poset_matches_reference_closure():
         assert _outcome(lambda ls, ps: build_poset(ls, ps).leq, labels, pairs) == expected, (labels, pairs)
         outcomes.add(expected[0] if isinstance(expected[0], type) else "ok")
     assert outcomes == {"ok", CycleError}
+
+
+def _valid_order_matrices():
+    """(labels, leq, (cover, linext)) of the orders among _order_matrices()."""
+    for labels, leq in _order_matrices():
+        expected = _outcome(reference_order, labels, leq)
+        if not isinstance(expected[0], type):
+            yield labels, leq, expected
+
+
+def test_index_rows_match_reference_definitions():
+    for labels, leq, (cover, linext) in _valid_order_matrices():
+        P = FinitePoset(labels, leq)
+        n = len(labels)
+        assert P._up_int == tuple(sum(1 << j for j in range(n) if leq[i][j]) for i in range(n))
+        assert P._down_int == tuple(sum(1 << i for i in range(n) if leq[i][j]) for j in range(n))
+        assert P._cover_int == tuple(sum(1 << j for j in range(n) if cover[i][j]) for i in range(n))
+        assert P.linext == linext
+
+
+def _refuse(*args):
+    raise AssertionError("valid input reached a fallback path")
+
+
+def test_valid_input_skips_the_fallbacks(monkeypatch):
+    # valid orders are accepted by the check along cover edges alone: the
+    # row-wise scan and Warshall's pass run only for rejected input, and
+    # int rows are never converted back from bools
+    monkeypatch.setattr(poset, "_reject_order", _refuse)
+    monkeypatch.setattr(poset, "_warshall_closure", _refuse)
+    matrices = [(labels, leq) for labels, leq, _ in _valid_order_matrices()]
+    for labels, leq in matrices:
+        FinitePoset(labels, leq)
+    conversions = []
+    row_int = poset._row_int
+    monkeypatch.setattr(poset, "_row_int", lambda row: conversions.append(row) or row_int(row))
+    for labels, leq in matrices:
+        if labels:
+            FinitePoset(labels, tuple(sum(1 << j for j, b in enumerate(row) if b) for row in leq))
+    for seed in range(200):
+        P = random_poset(random.Random(seed), 60)
+        build_poset(P.labels, [(P.labels[i], P.labels[j]) for i, j in P.hasse_edges()])
+    assert conversions == []
+
+
+def test_cyclic_pair_lists_match_reference_closure():
+    # a random acyclic pair list plus one pair closing a cycle; the first
+    # bad pair, and so the exception and its message, must be the reference's
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = rng.randint(10, 60)
+        labels = tuple(rng.sample([f"e{i}" for i in range(n)], n))
+        rank = rng.sample(range(n), n)
+        pairs = []
+        for _ in range(rng.randint(n, 3 * n)):
+            a, b = rng.sample(labels, 2)
+            pairs.append((a, b) if rank[labels.index(a)] < rank[labels.index(b)] else (b, a))
+        lo, hi = pairs[rng.randrange(len(pairs))]
+        pairs.insert(rng.randrange(len(pairs) + 1), (hi, lo))
+        expected = _outcome(reference_build_poset, labels, pairs)
+        assert expected[0] is CycleError
+        assert _outcome(build_poset, labels, pairs) == expected, (labels, pairs)
+
+
+def _sort_key(mask):
+    return mask.count(), mask.indices()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_open_and_subset_orders_match_the_sort_key(n):
+    # cardinality, then earliest members, as the masks' own sort key gives it
+    spaces = [antichain(n), chain(n)] + [random_poset(random.Random(100 * n + k), n) for k in range(20)]
+    for P in spaces:
+        opens = list(P.enumerate_opens())
+        assert opens == sorted(opens, key=_sort_key)
+        assert [O.as_int() for O in opens] == list(P._open_ints)
+        subsets = all_subsets(P)
+        assert subsets == sorted(map(P.mask_from_int, range(1 << n)), key=_sort_key)
+    assert len(list(antichain(n).enumerate_opens())) == 2**n
 
 
 @pytest.mark.parametrize("n", range(5))
