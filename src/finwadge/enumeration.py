@@ -19,7 +19,7 @@ import random
 from itertools import permutations, product
 from typing import Optional, Sequence
 
-from .poset import FinitePoset, SubsetMask, _bool_row, _members, _refine, _refined_colors, build_poset
+from .poset import FinitePoset, SubsetMask, _members, _refine, _refined_colors, build_poset
 from .wadge import KPartition, MonotoneMap, _search_map, is_monotone
 
 POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045}
@@ -83,16 +83,15 @@ def all_posets(n: int) -> list[FinitePoset]:
 
     A candidate is judged on int rows before any poset is built: a
     ``FinitePoset`` is made only for the first candidate of each type.
-    The posets of one size share their labels tuple and their leq rows.
+    The posets of one size share their labels tuple.
     """
     if n < 1:
         raise ValueError("poset enumeration starts at one element")
-    current = [FinitePoset(("e0",), ((True,),))]
+    current = [FinitePoset(("e0",), (1,))]
     for size in range(2, n + 1):
         labels = tuple(f"e{i}" for i in range(size))
         new = size - 1
         top = 1 << new
-        rows: dict[int, tuple[bool, ...]] = {}  # one leq row per bitmask
         seen: dict[int, FinitePoset] = {}
         current.reverse()  # popped in order, so each parent is freed once used
         while current:
@@ -109,8 +108,7 @@ def all_posets(n: int) -> list[FinitePoset]:
                 above.append(())
                 key = _canonical_int(up, _refine(above, below_old + (maxima,)))
                 if key not in seen:
-                    leq = tuple(rows.setdefault(row, _bool_row(row, size)) for row in up)
-                    seen[key] = FinitePoset(labels, leq)
+                    seen[key] = FinitePoset(labels, tuple(up))
         current = [seen[k] for k in sorted(seen)]
     return current
 
@@ -158,7 +156,7 @@ def random_monotone_map(rng: random.Random, X: FinitePoset) -> MonotoneMap:
             f = MonotoneMap(X.space_id, tuple(image))
             assert is_monotone(X, f)
             return f
-    top = max(range(X.n), key=lambda i: sum(X.leq[i]))
+    top = max(range(X.n), key=lambda i: X._up_int[i].bit_count())
     return MonotoneMap(X.space_id, (top,) * X.n)
 
 

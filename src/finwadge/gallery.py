@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poset import FinitePoset, SubsetMask, build_poset
+from .poset import FinitePoset, SubsetMask, _members, build_poset
 
 
 def chain(n: int) -> FinitePoset:
@@ -34,38 +34,22 @@ def antichain(n: int) -> FinitePoset:
 def linear_sum(P: FinitePoset, Q: FinitePoset) -> FinitePoset:
     """P + Q: disjoint union with every element of P below every element of Q."""
     labels = [f"l.{x}" for x in P.labels] + [f"u.{x}" for x in Q.labels]
-    np_ = P.n
-    n = np_ + Q.n
-    leq = [[False] * n for _ in range(n)]
-    for i in range(np_):
-        for j in range(np_):
-            leq[i][j] = P.leq[i][j]
-    for i in range(Q.n):
-        for j in range(Q.n):
-            leq[np_ + i][np_ + j] = Q.leq[i][j]
-    for i in range(np_):
-        for j in range(Q.n):
-            leq[i][np_ + j] = True
-    return FinitePoset(tuple(labels), tuple(tuple(row) for row in leq))
+    upper = (1 << Q.n) - 1 << P.n  # the elements of Q
+    up = [row | upper for row in P._up_int] + [row << P.n for row in Q._up_int]
+    return FinitePoset(tuple(labels), tuple(up))
 
 
 def lex_product(P: FinitePoset, Q: FinitePoset) -> FinitePoset:
     """P * Q on pairs: (p0,q0) < (p1,q1) iff q0 < q1, or q0 = q1 and p0 < p1."""
-    labels = []
-    pairs = []
-    for qi in range(Q.n):
-        for pi in range(P.n):
-            labels.append(f"({P.labels[pi]},{Q.labels[qi]})")
-            pairs.append((pi, qi))
-    n = len(pairs)
-    leq = [[False] * n for _ in range(n)]
-    for a, (p0, q0) in enumerate(pairs):
-        for b, (p1, q1) in enumerate(pairs):
-            if q0 == q1:
-                leq[a][b] = P.leq[p0][p1]
-            else:
-                leq[a][b] = Q.leq[q0][q1]
-    return FinitePoset(tuple(labels), tuple(tuple(row) for row in leq))
+    m = P.n  # (p, q) is element q * m + p
+    labels = [f"({p},{q})" for q in Q.labels for p in P.labels]
+    block = (1 << m) - 1
+    up = []
+    for q, row in enumerate(Q._up_int):
+        # every pair over a q1 > q, then the pairs over q above p
+        higher = sum(block << q1 * m for q1 in _members(row & ~(1 << q)))
+        up += [higher | p_row << q * m for p_row in P._up_int]
+    return FinitePoset(tuple(labels), tuple(up))
 
 
 def expected_structure(k: int) -> FinitePoset:

@@ -89,7 +89,7 @@ def is_alternating(X: FinitePoset, A: SubsetMask, chain: AlternatingChain) -> bo
     if A.has(pts[0]) != chain.starts_in:
         return False
     for a, b in zip(pts, pts[1:]):
-        if not (X.leq[a][b] and a != b):
+        if a == b or not X._up_int[a] >> b & 1:
             return False
         if A.has(a) == A.has(b):
             return False

@@ -107,16 +107,16 @@ class DerivativeTrace:
 class FinitePoset:
     """A finite poset together with its Alexandrov topology.
 
-    ``leq`` is the full order matrix (reflexive, antisymmetric,
-    transitive; validated at construction) and ``linext`` a cached
-    linear extension.  ``leq`` may also be given as its int rows (bit j
-    of row i set iff i <= j), as ``build_poset`` does; it is then stored
-    as the bool matrix, converted once.  The int rows of the order and of
-    the cover relation, the linear extension and the ``space_id``
-    fingerprint (of the labels and the int rows) are built at
-    construction; the cover matrix (the transitive reduction) and the
-    other derived index structures are derived from the int rows on first
-    use and then reused by all operations.
+    The order is stored once, as the int rows ``_up_int``: bit j of row i
+    is set iff i <= j.  The constructor also accepts the order as a bool
+    matrix (entry [i][j] is i <= j) and converts it to int rows once.
+    ``leq``, the bool matrix, and ``cover``, that of the transitive
+    reduction, are views derived from the rows on first use; their bool
+    rows come from a bounded cache, so posets of one size share them.
+    The down rows, the cover rows, the linear extension ``linext`` and
+    the ``space_id`` fingerprint (of the labels and the int rows) are
+    built at construction; the other index structures are derived on
+    first use and then reused by all operations.
 
     Construction makes one topological pass over the cover edges.  The
     cover rows C are read off the int rows U.  ``linext`` is Kahn's order
@@ -141,32 +141,32 @@ class FinitePoset:
     """
 
     labels: tuple[str, ...]
-    leq: tuple[tuple[bool, ...], ...]
+    _up_int: tuple[int, ...]
     linext: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.labels)
         if len(set(self.labels)) != n:
             raise DuplicateLabelError("element labels must be distinct")
-        if len(self.leq) != n:
+        rows = self._up_int
+        if len(rows) != n:
             raise ValueError("leq matrix shape does not match label count")
         # bit j of up[i], and bit i of down[j], is set iff i <= j
-        if n and all(type(row) is int for row in self.leq):
-            up = tuple(self.leq)
+        if n and all(type(row) is int for row in rows):
+            up = tuple(rows)
             if any(row < 0 or row >> n for row in up):
                 raise ValueError("leq matrix shape does not match label count")
-            object.__setattr__(self, "leq", tuple(_bool_row(row, n) for row in up))
         else:
-            if any(len(row) != n for row in self.leq):
+            if any(len(row) != n for row in rows):
                 raise ValueError("leq matrix shape does not match label count")
-            up = tuple(map(_row_int, self.leq))
+            up = tuple(map(_row_int, rows))
         covers = _cover_rows(up)
         above = [tuple(_members(row)) for row in covers]
         order = _topological_order(above)
         if order is None or any(
             reduce(or_, map(up.__getitem__, above[x]), 1 << x) != up[x] for x in reversed(order)
         ):
-            _reject_order(self.labels, self.leq, up)
+            _reject_order(self.labels, up)
         down = [1 << x for x in range(n)]
         for x in order:
             for y in above[x]:
@@ -198,7 +198,7 @@ class FinitePoset:
             raise UnknownElement(f"unknown element {element!r}") from None
 
     def le(self, x: "str | int", y: "str | int") -> bool:
-        return self.leq[self.index(x)][self.index(y)]
+        return bool(self._up_int[self.index(x)] >> self.index(y) & 1)
 
     def strict_below(self, i: int) -> tuple[int, ...]:
         return self._strict_below[i]
@@ -229,6 +229,11 @@ class FinitePoset:
             for j in above:
                 below[j].append(i)
         return tuple(map(tuple, below))
+
+    @cached_property
+    def leq(self) -> tuple[tuple[bool, ...], ...]:
+        """The order matrix: entry [i][j] is i <= j."""
+        return tuple(_bool_row(row, self.n) for row in self._up_int)
 
     @cached_property
     def cover(self) -> tuple[tuple[bool, ...], ...]:
@@ -388,20 +393,22 @@ class FinitePoset:
         if not keep:
             raise EmptySubspace("subspace of the empty set is not a space")
         labels = tuple(self.labels[i] for i in keep)
-        leq = tuple(tuple(self.leq[i][j] for j in keep) for i in keep)
-        return FinitePoset(labels, leq)
+        position = {j: k for k, j in enumerate(keep)}
+        a = A.as_int()
+        up = tuple(sum(1 << position[j] for j in _members(self._up_int[i] & a)) for i in keep)
+        return FinitePoset(labels, up)
 
 
 def build_poset(labels: Sequence[str], covers: Sequence[tuple[str, str]]) -> FinitePoset:
     """Build the poset generated by cover pairs (lower, upper).
 
     The order is the reflexive-transitive closure of the pairs, closed on
-    int rows and handed to FinitePoset as such.  The rows are closed from
-    the top of Kahn's order of the pairs: each row ORs in the closed rows
-    of its direct successors, O(n + pairs) ORs in all.  Pairs with a
-    cycle have no such order; their rows are closed by Warshall's pass
-    instead, so that FinitePoset rejects the closure with CycleError on
-    the same first bad pair.
+    int rows, which the poset then stores as its order unconverted.  The
+    rows are closed from the top of Kahn's order of the pairs: each row
+    ORs in the closed rows of its direct successors, O(n + pairs) ORs in
+    all.  Pairs with a cycle have no such order; their rows are closed by
+    Warshall's pass instead, so that FinitePoset rejects the closure with
+    CycleError on the same first bad pair.
     """
     labels = tuple(str(x) for x in labels)
     if len(set(labels)) != len(labels):
@@ -533,8 +540,12 @@ def _index_order(n: int) -> tuple[int, ...]:
     return tuple(range(n))
 
 
+@lru_cache(maxsize=256)
 def _bool_row(row: int, n: int) -> tuple[bool, ...]:
-    """Matrix row of length n from a bitmask: entry j is bit j."""
+    """Matrix row of length n from a bitmask: entry j is bit j.
+
+    One copy per recent (row, n), as the posets of one size share rows.
+    """
     return tuple([bit == "1" for bit in format(row, f"0{n}b")[::-1]])
 
 
@@ -577,18 +588,21 @@ def _topological_order(succ: Sequence[Sequence[int]]) -> Optional[list[int]]:
     return order if len(order) == n else None
 
 
-def _reject_order(labels: Sequence[str], leq: Sequence[Sequence[bool]], up: Sequence[int]) -> None:
+def _reject_order(labels: Sequence[str], up: Sequence[int]) -> None:
     """Raise for rows that are not a partial order, naming the first bad row.
 
     Rows are checked in index order: row i is sound iff it holds i,
     nothing above i is also below it, and the rows of the elements above
     i add nothing to it.
     """
-    down = tuple(map(_row_int, zip(*leq)))
+    down = [0] * len(up)
+    for i, row in enumerate(up):
+        for j in _members(row):
+            down[j] |= 1 << i
     for i, row in enumerate(up):
         if not row >> i & 1:
             raise ValueError("order must be reflexive")
-        if row & down[i] != 1 << i or reduce(or_, compress(up, leq[i])) != row:
+        if row & down[i] != 1 << i or reduce(or_, compress(up, _bit_flags(row))) != row:
             _raise_first_bad_pair(labels, up, i)
     raise AssertionError("rows form a partial order")
 

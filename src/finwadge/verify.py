@@ -7,6 +7,7 @@ silently; the CLI turns a failed suite into exit code 3.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .enumeration import POSET_COUNTS, all_posets
@@ -142,28 +143,20 @@ def level_degree_findings(P: FinitePoset) -> list[str]:
     Subsets with the same difference level must be mutually reducible,
     and representatives of lower proper levels must reduce strictly into
     higher ones.  Returns human-readable violations; empty means coherent.
+    Mutually reducible sets have equal levels, so each class is labelled
+    by its representative alone.
     """
     findings: list[str] = []
     subsets = all_subsets(P)
     D = degree_structure(P, subsets, ReducibilityKind.WADGE)
-    levels = [classify(P, A) for A in subsets]
-    class_of = {}
-    for ci, members in enumerate(D.classes):
-        for m in members:
-            class_of[m] = ci
-    by_label: dict[str, set[int]] = {}
-    for idx, lv in enumerate(levels):
-        by_label.setdefault(lv.label, set()).add(class_of[idx])
-    for lab in sorted(by_label):
-        if len(by_label[lab]) > 1:
-            findings.append(f"{_describe(P)}: label {lab} splits into {len(by_label[lab])} degrees")
+    levels = [classify(P, subsets[rep]) for rep in D.representatives]  # one per class
+    degrees = Counter(lv.label for lv in levels)
+    for lab in sorted(degrees):
+        if degrees[lab] > 1:
+            findings.append(f"{_describe(P)}: label {lab} splits into {degrees[lab]} degrees")
     strict = set(D.strict_order)
     for kind in ("ProperSigma", "ProperPi"):
-        ranked = sorted(
-            (levels[rep].level, ci)
-            for ci, rep in enumerate(D.representatives)
-            if levels[rep].label.startswith(kind)
-        )
+        ranked = sorted((lv.level, ci) for ci, lv in enumerate(levels) if lv.label.startswith(kind))
         for (m, ci), (n_, cj) in zip(ranked, ranked[1:]):
             if m < n_ and (ci, cj) not in strict:
                 findings.append(

@@ -105,10 +105,10 @@ def is_monotone(X: FinitePoset, f: "MonotoneMap | Sequence[int]") -> bool:
     image = f.image if isinstance(f, MonotoneMap) else tuple(f)
     if len(image) != X.n:
         raise SpaceMismatch("map length does not match the space")
-    for i, j in X.hasse_edges():
-        if not X.leq[image[i]][image[j]]:
-            return False
-    return True
+    if not all(0 <= t < X.n for t in image):
+        raise SpaceMismatch("map sends a point outside the space")
+    up = X._up_int
+    return all(up[image[i]] >> image[j] & 1 for i, j in X.hasse_edges())
 
 
 def constant_partitions(X: FinitePoset, k: int) -> list[KPartition]:
@@ -416,7 +416,7 @@ def degree_structure(
     reps: list[int] = []
     classes: list[list[int]] = []
     by_signature: dict[tuple, list[int]] = {}
-    le: dict[tuple[int, int], bool] = {}
+    rows: list[int] = []  # bit j of rows[i] is set iff class i reduces to class j
     for idx, item in enumerate(items):
         sig = sigs[idx]
         peers = by_signature.setdefault(sig, [])
@@ -426,18 +426,21 @@ def degree_structure(
                 break
         else:
             home = len(reps)
+            row = 1 << home
             for cj, rep in enumerate(reps):
-                le[(home, cj)] = below(item, sig, items[rep], sigs[rep])
-                le[(cj, home)] = below(items[rep], sigs[rep], item, sig)
+                if below(item, sig, items[rep], sigs[rep]):
+                    row |= 1 << cj
+                if below(items[rep], sigs[rep], item, sig):
+                    rows[cj] |= 1 << home
+            rows.append(row)
             reps.append(idx)
             classes.append([])
             peers.append(home)
         classes[home].append(idx)
     k = len(reps)
     # the relation must be a partial order; validation raises if it is not
-    leq = tuple(tuple(i == j or le[(i, j)] for j in range(k)) for i in range(k))
-    order = FinitePoset(tuple(map(str, range(k))), leq)
-    up, down = order._up_int, order._down_int  # bit j of up[i] is set iff i <= j
+    order = FinitePoset(tuple(map(str, range(k))), tuple(rows))
+    up, down = order._up_int, order._down_int
     strict = [(i, j) for i, above in enumerate(order._strict_above) for j in above]
     rep_key = [_item_key(items[r]) for r in reps]
     hasse = sorted(order.hasse_edges(), key=lambda e: (rep_key[e[0]], rep_key[e[1]]))

@@ -55,6 +55,31 @@ def test_lex_product():
             assert P.leq[i][j]
 
 
+def test_combinators_match_their_definitions():
+    # P + Q puts P below Q; P * Q orders pairs by q first, then p
+    factors = [chain(0), chain(3), antichain(2), fan(1).space, truncated_c_infinity(3)]
+    for P in factors:
+        for Q in factors:
+            m = P.n
+            S = linear_sum(P, Q)
+            assert S.leq == tuple(
+                tuple(
+                    P.leq[i][j] if i < m and j < m
+                    else Q.leq[i - m][j - m] if i >= m and j >= m
+                    else i < m
+                    for j in range(S.n)
+                )
+                for i in range(S.n)
+            )
+            L = lex_product(P, Q)
+            pairs = [(p, q) for q in range(Q.n) for p in range(P.n)]
+            assert L.labels == tuple(f"({P.labels[p]},{Q.labels[q]})" for p, q in pairs)
+            assert L.leq == tuple(
+                tuple(P.leq[p0][p1] if q0 == q1 else Q.leq[q0][q1] for p1, q1 in pairs)
+                for p0, q0 in pairs
+            )
+
+
 def test_sizes_of_combinators():
     for p, q in ((1, 1), (2, 3), (3, 2)):
         assert linear_sum(chain(p), chain(q)).n == p + q

@@ -16,11 +16,18 @@ from finwadge import (
     antichain,
     build_poset,
     chain,
+    classify,
+    degree_structure,
+    expected_structure,
     fan,
     lex_product,
+    linear_sum,
     poset_isomorphic,
+    truncated_c_infinity,
+    wadge_reduces,
 )
 from finwadge import poset
+from finwadge.documents import PosetDocument, load_document, save_document
 from finwadge.enumeration import all_posets, random_poset
 from finwadge.wadge import all_subsets
 
@@ -226,6 +233,50 @@ def test_valid_input_skips_the_fallbacks(monkeypatch):
         P = random_poset(random.Random(seed), 60)
         build_poset(P.labels, [(P.labels[i], P.labels[j]) for i, j in P.hasse_edges()])
     assert conversions == []
+
+
+def test_order_is_stored_once_as_int_rows(tmp_path):
+    # constructors, loading and the searches never build the bool matrix
+    path = tmp_path / "fan2.json"
+    save_document(PosetDocument(fan(2).space, {}), path)
+    spaces = [
+        build_poset(["a", "b", "c"], [("a", "b"), ("a", "c")]),
+        load_document(path).poset,
+        chain(5),
+        antichain(3),
+        truncated_c_infinity(4),
+        fan(2).space,
+        linear_sum(antichain(2), chain(2)),
+        lex_product(antichain(2), chain(3)),
+        expected_structure(1),
+    ]
+    spaces += [P for n in range(1, 5) for P in all_posets(n)]
+    for P in spaces:
+        subsets = all_subsets(P)
+        classify(P, subsets[1])
+        wadge_reduces(P, subsets[1], subsets[-2])
+        degree_structure(P, subsets)
+        assert "leq" not in vars(P)
+    assert spaces[0].leq == ((True, True, True), (False, True, False), (False, False, True))
+
+
+def test_leq_view_matches_the_reference_matrix():
+    for seed in range(100):
+        rng = random.Random(seed)
+        P = random_poset(rng, rng.randint(1, 20))
+        want = reference_build_poset(P.labels, [(P.labels[i], P.labels[j]) for i, j in P.hasse_edges()])
+        for order in (want, P._up_int):
+            Q = FinitePoset(P.labels, order)
+            assert "leq" not in vars(Q)
+            assert Q.leq == want and Q._up_int == P._up_int
+
+
+def test_posets_of_one_size_share_their_leq_rows():
+    for n in (4, 6):
+        shared = {}
+        for P in all_posets(n):
+            for row in P.leq:
+                assert shared.setdefault(row, row) is row
 
 
 def test_cyclic_pair_lists_match_reference_closure():

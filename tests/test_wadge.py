@@ -28,7 +28,7 @@ from finwadge import (
     structure_label,
     wadge_reduces,
 )
-from finwadge import wadge
+from finwadge import verify, wadge
 from finwadge.enumeration import (
     all_posets,
     random_mask,
@@ -58,6 +58,15 @@ def test_is_monotone_examples(small_poset_zoo):
     assert is_monotone(L2, (0, 1))
     assert is_monotone(L2, (0, 0)) and is_monotone(L2, (1, 1))
     assert not is_monotone(L2, (1, 0))
+
+
+def test_is_monotone_rejects_targets_outside_the_space(small_poset_zoo):
+    L2 = small_poset_zoo["chain2"]
+    for image in ((0, -1), (0, 5), (2, 0)):
+        with pytest.raises(SpaceMismatch):
+            is_monotone(L2, image)
+        with pytest.raises(SpaceMismatch):
+            is_retraction(L2, L2.full_mask(), MonotoneMap(L2.space_id, image))
 
 
 def test_reduce_to_itself_and_trivial_cases(small_poset_zoo):
@@ -226,6 +235,30 @@ def test_rank_map_reduces_outside_equal_delta_levels():
                 pairs += 1
                 assert f is not None and is_monotone(P, f) and f.preimage(A) == B
     assert pairs == 65954
+
+
+def test_sigma_and_pi_labels_never_split():
+    """Sets of one ProperSigma or ProperPi label are mutually reducible.
+
+    Checked with the search kernel, not through ``degree_structure``,
+    whose level theorem decides these pairs without a search: every set
+    of such a label reduces to the first set of that label in
+    ``all_subsets`` order, and back.
+    """
+    searches = 0
+    for n in range(1, 7):
+        for P in all_posets(n):
+            first = {}
+            for A in all_subsets(P):
+                level = classify(P, A)
+                rep = first.setdefault(level, A)
+                if level.kind == "delta" or rep is A:
+                    continue
+                for a, b in ((A, rep), (rep, A)):
+                    searches += 1
+                    found = wadge._first_map(P, wadge._domains(P, a, b), ReducibilityKind.WADGE)
+                    assert found is not None, (P.hasse_edges(), P.members(a), P.members(b))
+    assert searches == 35340
 
 
 def test_searches_only_inside_equal_delta_levels(monkeypatch):
@@ -464,6 +497,18 @@ def test_level_degree_measurement_is_pinned():
                     not brute_reduces(P, A, A.complement()) for A in deltas if P.n <= 5
                 )
     assert split_types == 13
+
+
+def test_level_degree_findings_classifies_one_set_per_degree(monkeypatch):
+    calls = []
+    classify_ = verify.classify
+    monkeypatch.setattr(verify, "classify", lambda P, A: calls.append(A) or classify_(P, A))
+    degrees = 0
+    for n in range(1, 6):
+        for P in all_posets(n):
+            level_degree_findings(P)
+            degrees += len(degree_structure(P, all_subsets(P)).classes)
+    assert len(calls) == degrees == 532
 
 
 # --- retractions ----------------------------------------------------------
