@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from . import gallery
@@ -32,6 +33,7 @@ from .wadge import (
     constant_partitions,
     degree_structure,
     structure_label,
+    subset_quotient,
     wadge_reduces,
 )
 
@@ -110,16 +112,16 @@ def cmd_reduce(args) -> int:
 
 
 def _degrees_report(X, D):
-    rep_members = [render_item(X, D.items[r]) for r in D.representatives]
+    """The JSON report of a quotient: a representative and a size per class."""
     label = structure_label(D)
     # "has_infinite_descending" and "finite_wqo" are constants of a finite
     # structure, kept because perfbench/goldens.json pins this stdout
     return {
         "kind": D.kind.value,
-        "items": len(D.items),
+        "items": D.item_count,
         "classes": [
-            {"representative": rep_members[ci], "size": len(D.classes[ci])}
-            for ci in range(D.class_count)
+            {"representative": render_item(X, rep), "size": size}
+            for rep, size in zip(D.class_reps, D.class_sizes)
         ],
         "strict_order": [[i, j] for i, j in D.strict_order],
         "hasse": [[i, j] for i, j in D.hasse],
@@ -140,14 +142,17 @@ def _degrees_report(X, D):
 def cmd_degrees(args) -> int:
     doc = load_document(args.document)
     X = doc.poset
+    kind = _kind(args.kind)
     if args.all:
         cap = args.cap if args.cap is not None else DEGREES_ALL_CAP
-        items = all_subsets(X, cap=cap)
+        if kind is ReducibilityKind.WADGE:
+            D = subset_quotient(X, cap=cap)  # the level census; no subset is built
+        else:
+            D = degree_structure(X, all_subsets(X, cap=cap), kind)
     elif args.subsets:
-        items = [parse_subset(doc, token) for token in args.subsets]
+        D = degree_structure(X, [parse_subset(doc, token) for token in args.subsets], kind)
     else:
         raise FinWadgeError("give --all or at least one subset")
-    D = degree_structure(X, items, _kind(args.kind))
     _emit(_degrees_report(X, D), args.out)
     if args.dot:
         _write_dot(degrees_to_dot(X, D), args.dot)
@@ -272,9 +277,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused by every later one."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CapExceeded as exc:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .errors import DocumentError, FinWadgeError
 from .poset import FinitePoset, SubsetMask, build_poset
-from .wadge import DegreeStructure, KPartition
+from .wadge import DegreeStructure, KPartition, SubsetQuotient
 
 
 @dataclass
@@ -129,12 +129,10 @@ def poset_to_dot(X: FinitePoset, name: str = "hasse") -> str:
     return "\n".join(lines) + "\n"
 
 
-def degrees_to_dot(X: FinitePoset, D: DegreeStructure, name: str = "degrees") -> str:
+def degrees_to_dot(X: FinitePoset, D: "DegreeStructure | SubsetQuotient", name: str = "degrees") -> str:
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
-    for ci in range(D.class_count):
-        rep = D.items[D.representatives[ci]]
-        text = render_item(X, rep)
-        lines.append(f'  d{ci} [label="{text} (x{len(D.classes[ci])})"];')
+    for ci, (rep, size) in enumerate(zip(D.class_reps, D.class_sizes)):
+        lines.append(f'  d{ci} [label="{render_item(X, rep)} (x{size})"];')
     for i, j in D.hasse:
         lines.append(f"  d{i} -> d{j};")
     lines.append("}")

@@ -4,7 +4,8 @@ A subset of a finite T0 space sits at an exact finite level of the
 Hausdorff difference hierarchy.  ``classify`` locates that level through
 longest alternating chains, found in one pass over a linear extension and
 the cover edges that gives both ranks at once; ``longest_alternating_chain``
-reuses that pass and rebuilds a witness along the chain only.
+reuses that pass and rebuilds a witness along the chain only, and
+``subset_levels`` runs it bit-sliced for all subsets at once.
 ``oracle_level`` recomputes the level by exhausting increasing open
 sequences straight from the definition, so the two routes check each
 other.
@@ -185,6 +186,89 @@ def classify(X: FinitePoset, A: SubsetMask) -> DiffLevel:
     sigma = top if ends[top & 1] == top else top - 1
     pi = top if ends[top & 1 ^ 1] == top else top - 1
     return DiffLevel(sigma, pi)
+
+
+def subset_levels(X: FinitePoset) -> dict[DiffLevel, int]:
+    """The level of every subset of X at once: the level census.
+
+    Bit v of the returned int for a level is set iff the subset with mask
+    value v has that level; levels no subset has are left out.  This is
+    ``_reach`` run once for all 2^n subsets, bit-sliced (Knuth, TAOCP 4A
+    §7.1.3): bit v of M_x is bit x of v, and bit v of in_x[t] (out_x[t])
+    is set iff reach[1][x] (reach[0][x]) is at least t for subset v.
+    Index 0 holds every subset, and a maximum over no covers is 0, so
+    with the ORs over the lower covers c of x,
+
+        in_x[t]  = OR_c in_c[t]  | ( M_x & OR_c out_c[t-1])
+        out_x[t] = OR_c out_c[t] | (~M_x & OR_c in_c[t-1]).
+
+    Reach never falls going up, so the ORs over the maximal elements give
+    the thresholds of the longest chain ending inside and outside, and
+    ``classify``'s rule turns them into one int per level.  Each element
+    pushes its rows into its upper covers' ORs and is then dropped, so
+    only the rows of elements with a pending upper cover stay alive.
+    """
+    n = X.n
+    full = (1 << (1 << n)) - 1
+    above = X._cover_above
+    # pending[y] ORs the rows of y's lower covers done so far; key -1 ORs the maximal elements'
+    pending: dict[int, tuple[list[int], list[int]]] = {}
+    for x in X.linext:
+        reach_in, reach_out = pending.pop(x, ([full], [full]))
+        inside = _element_slice(x, n)
+        outside = full ^ inside
+        reach_in.append(0)
+        reach_out.append(0)
+        for t in range(len(reach_in) - 1, 0, -1):  # downwards, so index t - 1 is still the covers' OR
+            reach_in[t] |= inside & reach_out[t - 1]
+            reach_out[t] |= outside & reach_in[t - 1]
+        for y in above[x] or (-1,):
+            if y not in pending:
+                pending[y] = (reach_in[:], reach_out[:])
+                continue
+            for rows, source in zip(pending[y], (reach_in, reach_out)):
+                for t in range(1, min(len(rows), len(source))):
+                    rows[t] |= source[t]
+                rows.extend(source[len(rows):])
+    ends_in, ends_out = pending.pop(-1, ([full], [full]))
+    levels: dict[DiffLevel, int] = {}
+    longer = 0  # subsets with a longer chain than top
+    for top in range(len(ends_in) - 1, -1, -1):
+        end_in, end_out = ends_in.pop(), ends_out.pop()
+        exact = (end_in | end_out) & ~longer
+        longer = end_in | end_out
+        # a longest chain starts inside iff it ends inside and top is odd, or outside and even
+        starts_in, starts_out = (end_in, end_out) if top & 1 else (end_out, end_in)
+        sigma_top, pi_top = starts_in & exact, starts_out & exact
+        for level, members in (
+            (DiffLevel(top, top), sigma_top & pi_top),
+            (DiffLevel(top - 1, top), pi_top & ~sigma_top),
+            (DiffLevel(top, top - 1), sigma_top & ~pi_top),
+        ):
+            if members:
+                levels[level] = members
+    return levels
+
+
+def _element_slice(x: int, n: int) -> int:
+    """The 2^n-bit int M_x whose bit v is bit x of v."""
+    width = 1 << x
+    pattern, period = ((1 << width) - 1) << width, 2 * width
+    while period < 1 << n:
+        pattern |= pattern << period
+        period *= 2
+    return pattern
+
+
+def _set_bits(value: int) -> list[int]:
+    """Indices of the set bits of a census int, lowest first, in one scan of its digits."""
+    digits = format(value, "b")[::-1]
+    found = []
+    i = digits.find("1")
+    while i >= 0:
+        found.append(i)
+        i = digits.find("1", i + 1)
+    return found
 
 
 def d_n(X: FinitePoset, opens: Sequence[SubsetMask], n: int) -> SubsetMask:

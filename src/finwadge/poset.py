@@ -468,32 +468,32 @@ def poset_isomorphic(X: FinitePoset, Y: FinitePoset) -> Optional[tuple[int, ...]
     for t, c in enumerate(cy):
         targets.setdefault(c, []).append(t)
     options = [targets[c] for c in cx]
-    x_up, y_up = X.leq, Y.leq
-    x_down, y_down = tuple(zip(*x_up)), tuple(zip(*y_up))
+    x_up, x_down, y_up, y_down = X._up_int, X._down_int, Y._up_int, Y._down_int
     image: list[int] = []
-    used = [False] * n
+    placed = 0  # bitmask of the images so far
     tried = [0] * n
     i = 0
     while 0 <= i < n:
-        # i must relate to the elements placed so far as its target does to their images
-        want_up, want_down = tuple(x_up[i][:i]), x_down[i][:i]
+        # i must relate to the elements placed so far as its target does to their images:
+        # the placed bits of t's rows must be the images of i's rows below index i
+        want_up = want_down = 0
+        for j in _members(x_up[i] & ((1 << i) - 1)):
+            want_up |= 1 << image[j]
+        for j in _members(x_down[i] & ((1 << i) - 1)):
+            want_down |= 1 << image[j]
         for k in range(tried[i], len(options[i])):
             t = options[i][k]
-            if (
-                not used[t]
-                and tuple(map(y_up[t].__getitem__, image)) == want_up
-                and tuple(map(y_down[t].__getitem__, image)) == want_down
-            ):
+            if not placed >> t & 1 and y_up[t] & placed == want_up and y_down[t] & placed == want_down:
                 tried[i] = k + 1
-                used[t] = True
                 image.append(t)
+                placed |= 1 << t
                 i += 1
                 break
         else:
             tried[i] = 0
             i -= 1
             if i >= 0:
-                used[image.pop()] = False
+                placed ^= 1 << image.pop()
     return tuple(image) if i == n else None
 
 
@@ -507,13 +507,19 @@ def _refine(above: Sequence[Sequence[int]], below: Sequence[Sequence[int]]) -> t
     A round recolours each element by its colour and the sorted colours
     of its upper and lower covers, numbered in sorted order, so on
     isomorphic posets every round produces identical colour multisets.
-    Rounds only split classes, and refinement stops at the first round
-    that splits none: the colours of a stable partition are a fixed point.
+    From one colour, the first round's signatures are (0, zeros, zeros)
+    and sort as the pairs of cover counts, so it numbers those pairs
+    directly.  Rounds only split classes, and refinement stops at the
+    first round that splits none, or at a discrete partition, which the
+    next round would keep: the colours of a stable partition are a fixed
+    point.
     """
     n = len(above)
-    colors = [0] * n
-    classes = min(n, 1)
-    while True:
+    degrees = [(len(up), len(down)) for up, down in zip(above, below)]
+    legend = {d: k for k, d in enumerate(sorted(set(degrees)))}
+    colors = list(map(legend.__getitem__, degrees))
+    classes = len(legend)
+    while 1 < classes < n:
         get = colors.__getitem__
         sig = [
             (colors[i], tuple(sorted(map(get, above[i]))), tuple(sorted(map(get, below[i]))))
@@ -522,8 +528,9 @@ def _refine(above: Sequence[Sequence[int]], below: Sequence[Sequence[int]]) -> t
         legend = {s: k for k, s in enumerate(sorted(set(sig)))}
         colors = list(map(legend.__getitem__, sig))
         if len(legend) == classes:
-            return tuple(colors)
+            break
         classes = len(legend)
+    return tuple(colors)
 
 
 def _row_int(row: Sequence[bool]) -> int:

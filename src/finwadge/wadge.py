@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 from .errors import CapExceeded, ColorCountMismatch, SpaceMismatch
-from .hierarchy import DiffLevel, classify, level_leq
-from .poset import FinitePoset, SubsetMask
+from .hierarchy import DiffLevel, _element_slice, _set_bits, classify, level_leq, subset_levels
+from .poset import FinitePoset, SubsetMask, _members
 
 
 class ReducibilityKind(Enum):
@@ -295,7 +295,9 @@ class DegreeStructure:
     ``strict_order`` and ``hasse`` relate class indices.  SLO violations
     are ordered class pairs (i, j) with neither rep(i) <= rep(j) nor
     complement(rep(j)) <= rep(i); they are only meaningful for subset
-    items and stay empty for partitions.
+    items and stay empty for partitions.  ``class_reps`` and
+    ``class_sizes`` are the shape that reports read, shared with
+    ``SubsetQuotient``.
     """
 
     items: tuple[Item, ...]
@@ -310,9 +312,44 @@ class DegreeStructure:
     def class_count(self) -> int:
         return len(self.classes)
 
+    @property
+    def item_count(self) -> int:
+        return len(self.items)
+
+    @property
+    def class_reps(self) -> tuple[Item, ...]:
+        return tuple(self.items[r] for r in self.representatives)
+
+    @property
+    def class_sizes(self) -> tuple[int, ...]:
+        return tuple(map(len, self.classes))
+
     def minimal_classes(self) -> tuple[int, ...]:
         above = {j for _, j in self.strict_order}
         return tuple(i for i in range(self.class_count) if i not in above)
+
+
+@dataclass(frozen=True)
+class SubsetQuotient:
+    """Quotient of all subsets of a space under WADGE, without the subsets.
+
+    Per class: its representative, the first member in ``all_subsets``
+    order; its size; and its difference level.  Classes are numbered in
+    the order of their representatives, and ``strict_order``, ``hasse``
+    and ``diagnostics`` relate them as in ``DegreeStructure``.
+    """
+
+    kind: ClassVar[ReducibilityKind] = ReducibilityKind.WADGE
+    class_reps: tuple[SubsetMask, ...]
+    class_sizes: tuple[int, ...]
+    class_levels: tuple[DiffLevel, ...]
+    strict_order: tuple[tuple[int, int], ...]
+    hasse: tuple[tuple[int, int], ...]
+    diagnostics: Diagnostics
+
+    @property
+    def item_count(self) -> int:
+        return sum(self.class_sizes)
 
 
 @dataclass(frozen=True)
@@ -332,13 +369,17 @@ class StructureReport:
 
 def all_subsets(X: FinitePoset, cap: Optional[int] = None) -> list[SubsetMask]:
     """Every subset of the space, by cardinality then earliest members."""
-    if cap is not None and X.n > cap:
-        raise CapExceeded(f"|X| = {X.n} exceeds the all-subsets cap {cap}")
+    _check_subset_cap(X, cap)
     return [
         SubsetMask(X.space_id, X.n, sum(1 << i for i in members))
         for k in range(X.n + 1)
         for members in combinations(range(X.n), k)
     ]
+
+
+def _check_subset_cap(X: FinitePoset, cap: Optional[int]) -> None:
+    if cap is not None and X.n > cap:
+        raise CapExceeded(f"|X| = {X.n} exceeds the all-subsets cap {cap}")
 
 
 def degree_structure(
@@ -347,12 +388,8 @@ def degree_structure(
     """Quotient order of the items under the chosen reducibility.
 
     Each item gets one level signature: its difference level for a
-    subset, the tuple of its color classes' levels for a partition.
-    Mutual WADGE reducibility implies equal signatures, so an item looks
-    for its home class only among representatives with an equal one, and
-    the first of them it is equivalent to takes it in.  Only an item that
-    opens a new class is related to every representative, and the
-    signatures pre-filter those searches as in ``wadge_reduces``.
+    subset, the tuple of its color classes' levels for a partition, and
+    ``_classes`` groups the items by it.
 
     Subsets under WADGE need no search outside equal Delta levels: for
     subsets A, B of a finite poset, B reduces to A iff level_leq(B, A),
@@ -369,10 +406,6 @@ def degree_structure(
     fail only when all four ranks are equal.  The level of a complement
     is its set's level with the two ranks swapped, so ``classify`` runs
     on at most one set of each complement pair.
-
-    The order between classes is validated and reduced as a
-    ``FinitePoset`` on the class indices; the strict order, Hasse diagram,
-    SLO tests and antichain bound all read its rows.
     """
     items = tuple(items)
     if items:
@@ -405,68 +438,219 @@ def degree_structure(
             return (level(item),)
         return tuple(level(item.color_class(c)) for c in range(item.k))
 
-    def below(a: Item, sa: tuple, b: Item, sb: tuple) -> bool:
-        if not all(map(level_leq, sa, sb)):
-            return False
-        if subsets and wadge and (sa != sb or sa[0].kind != "delta"):
-            return True  # the rank map of the proof above reduces a to b
-        return _first_map(X, _domains(X, a, b), kind) is not None
-
     sigs = [signature(item) for item in items]
-    reps: list[int] = []
-    classes: list[list[int]] = []
-    by_signature: dict[tuple, list[int]] = {}
-    rows: list[int] = []  # bit j of rows[i] is set iff class i reduces to class j
-    for idx, item in enumerate(items):
-        sig = sigs[idx]
-        peers = by_signature.setdefault(sig, [])
-        for home in peers:
-            peer = items[reps[home]]
-            if below(item, sig, peer, sig) and below(peer, sig, item, sig):
-                break
-        else:
-            home = len(reps)
-            row = 1 << home
-            for cj, rep in enumerate(reps):
-                if below(item, sig, items[rep], sigs[rep]):
-                    row |= 1 << cj
-                if below(items[rep], sigs[rep], item, sig):
-                    rows[cj] |= 1 << home
-            rows.append(row)
-            reps.append(idx)
-            classes.append([])
-            peers.append(home)
-        classes[home].append(idx)
-    k = len(reps)
-    # the relation must be a partial order; validation raises if it is not
-    order = FinitePoset(tuple(map(str, range(k))), tuple(rows))
-    up, down = order._up_int, order._down_int
-    strict = [(i, j) for i, above in enumerate(order._strict_above) for j in above]
-    rep_key = [_item_key(items[r]) for r in reps]
-    hasse = sorted(order.hasse_edges(), key=lambda e: (rep_key[e[0]], rep_key[e[1]]))
-    slo: list[tuple[int, int]] = []
-    if subsets:
-        for i in range(k):
-            for j in range(k):
-                if up[i] >> j & 1:
-                    continue
-                comp = items[reps[j]].complement()
-                if not below(comp, signature(comp), items[reps[i]], sigs[reps[i]]):
-                    slo.append((i, j))
-    incomparable = [[not (up[i] | down[i]) >> j & 1 for j in range(k)] for i in range(k)]
-    diag = Diagnostics(
-        max_antichain=_max_clique(incomparable) if k else 0,
-        slo_violations=tuple(slo),
+    reps, classes, rows = _classes(X, kind, items, sigs)
+    rep_items = [items[r] for r in reps]
+
+    def complement_below(j: int, i: int) -> bool:
+        comp = rep_items[j].complement()
+        return _below(X, kind, comp, signature(comp), rep_items[i], sigs[reps[i]])
+
+    strict, hasse, diag = _quotient_order(
+        rows, [_item_key(it) for it in rep_items], complement_below if subsets else None
     )
     return DegreeStructure(
         items=items,
         kind=kind,
         classes=tuple(tuple(c) for c in classes),
         representatives=tuple(reps),
-        strict_order=tuple(strict),
-        hasse=tuple(hasse),
+        strict_order=strict,
+        hasse=hasse,
         diagnostics=diag,
     )
+
+
+CENSUS_MAX_SIZE = 24
+
+
+def subset_quotient(X: FinitePoset, cap: Optional[int] = None) -> SubsetQuotient:
+    """The quotient of all subsets of X under WADGE, from the level census.
+
+    It equals ``degree_structure(X, all_subsets(X))`` class by class, but
+    only the members of ProperDelta levels are ever listed.  By the level
+    theorem of ``degree_structure``, every other level of the census
+    (``subset_levels``) is one class: its size is the popcount of the
+    level's int, and its representative is found with ANDs
+    (``_first_members``).  The members of a ProperDelta level go in
+    ``all_subsets`` order through ``_classes`` and the kernel, as in
+    ``degree_structure``; the kernel relates the classes of one Delta
+    level, and levels relate every other pair of classes.
+
+    The census holds ints of 2^n bits, a few dozen at a time, so memory
+    limits n to CENSUS_MAX_SIZE; a larger space raises CapExceeded, as
+    does one beyond ``cap``, the cap of ``all_subsets``.
+    """
+    _check_subset_cap(X, cap)
+    if X.n > CENSUS_MAX_SIZE:
+        raise CapExceeded(f"|X| = {X.n} exceeds the level census limit {CENSUS_MAX_SIZE}")
+    census = subset_levels(X)
+    proper = [level for level in census if level.kind != "delta"]
+    # (representative, size, level, index among its Delta level's classes or -1)
+    found = [
+        (first, census[level].bit_count(), level, -1)
+        for level, first in zip(proper, _first_members(X.n, [census[level] for level in proper]))
+    ]
+    delta_rows: dict[DiffLevel, list[int]] = {}
+    for level, members in census.items():
+        if level.kind == "delta":
+            items = [X.mask_from_int(v) for v in sorted(_set_bits(members), key=_subset_order)]
+            reps, classes, delta_rows[level] = _classes(X, ReducibilityKind.WADGE, items, [(level,)] * len(items))
+            found += [(items[r].value, len(c), level, k) for k, (r, c) in enumerate(zip(reps, classes))]
+    found.sort(key=lambda c: _subset_order(c[0]))
+    values, sizes, levels, local = zip(*found)
+    rows = []
+    for level, k in zip(levels, local):
+        row = 0
+        for j, other in enumerate(levels):
+            if k >= 0 and other == level:
+                row |= (delta_rows[level][k] >> local[j] & 1) << j
+            elif level_leq(level, other):
+                row |= 1 << j
+        rows.append(row)
+    reps = [X.mask_from_int(v) for v in values]
+
+    def complement_below(j: int, i: int) -> bool:
+        dual = DiffLevel(levels[j].pi_rank, levels[j].sigma_rank)
+        return _below(X, ReducibilityKind.WADGE, reps[j].complement(), (dual,), reps[i], (levels[i],))
+
+    strict, hasse, diag = _quotient_order(rows, [_item_key(rep) for rep in reps], complement_below)
+    return SubsetQuotient(
+        class_reps=tuple(reps),
+        class_sizes=sizes,
+        class_levels=levels,
+        strict_order=strict,
+        hasse=hasse,
+        diagnostics=diag,
+    )
+
+
+def _subset_order(value: int) -> tuple:
+    """Sort key of ``all_subsets`` order: size, then the sorted members."""
+    return value.bit_count(), tuple(_members(value))
+
+
+def _first_members(n: int, indicators: Sequence[int]) -> list[int]:
+    """The first member in ``all_subsets`` order of each nonzero census int.
+
+    ``all_subsets`` lists subsets by size, and those of one size in
+    lexicographic order of their sorted members.  Bit-sliced counters
+    (bit v of count[j] is bit j of |v|), summed from the element slices
+    M_x, give the subsets of each size.  Among subsets of one size the
+    first keeps the lowest elements: going up from element 0, keep only
+    the subsets that contain x whenever some subset left does.
+    """
+    slices = [_element_slice(x, n) for x in range(n)]
+    full = (1 << (1 << n)) - 1
+    count: list[int] = []
+    for inside in slices:  # ripple-carry addition of one bit per element
+        carry = inside
+        for j, c in enumerate(count):
+            count[j], carry = c ^ carry, c & carry
+        if carry:
+            count.append(carry)
+    count_bits = [(c, full ^ c) for c in count]
+    firsts = [-1] * len(indicators)
+    left = list(range(len(indicators)))
+    for size in range(n + 1):
+        if not left:
+            break
+        of_size = full
+        for j, (ones, zeros) in enumerate(count_bits):
+            of_size &= ones if size >> j & 1 else zeros
+        still = []
+        for i in left:
+            members = indicators[i] & of_size
+            if not members:
+                still.append(i)
+                continue
+            for inside in slices:
+                kept = members & inside
+                if kept:
+                    members = kept
+            firsts[i] = members.bit_length() - 1
+        left = still
+    return firsts
+
+
+def _below(X: FinitePoset, kind: ReducibilityKind, a: Item, sa: tuple, b: Item, sb: tuple) -> bool:
+    """Whether item a reduces to item b, given their level signatures.
+
+    The signatures pre-filter the search as in ``wadge_reduces``, and
+    between subsets under WADGE they decide it outside equal Delta
+    levels (the level theorem of ``degree_structure``).
+    """
+    if not all(map(level_leq, sa, sb)):
+        return False
+    if kind is ReducibilityKind.WADGE and isinstance(a, SubsetMask) and (sa != sb or sa[0].kind != "delta"):
+        return True  # the rank map of the proof reduces a to b
+    return _first_map(X, _domains(X, a, b), kind) is not None
+
+
+def _classes(
+    X: FinitePoset, kind: ReducibilityKind, items: Sequence[Item], sigs: Sequence[tuple]
+) -> tuple[list[int], list[list[int]], list[int]]:
+    """Classes of mutual reducibility among the items, in item order.
+
+    Mutual WADGE reducibility implies equal signatures, so an item looks
+    for its home class only among representatives with an equal one, and
+    the first of them it is equivalent to takes it in.  Only an item that
+    opens a new class is related to every representative.  Returns the
+    representatives' item indices, each class's item indices, and the
+    order rows: bit j of rows[i] is set iff class i reduces to class j.
+    """
+    reps: list[int] = []
+    classes: list[list[int]] = []
+    by_signature: dict[tuple, list[int]] = {}
+    rows: list[int] = []
+    for idx, item in enumerate(items):
+        sig = sigs[idx]
+        peers = by_signature.setdefault(sig, [])
+        for home in peers:
+            peer = items[reps[home]]
+            if _below(X, kind, item, sig, peer, sig) and _below(X, kind, peer, sig, item, sig):
+                break
+        else:
+            home = len(reps)
+            row = 1 << home
+            for cj, rep in enumerate(reps):
+                if _below(X, kind, item, sig, items[rep], sigs[rep]):
+                    row |= 1 << cj
+                if _below(X, kind, items[rep], sigs[rep], item, sig):
+                    rows[cj] |= 1 << home
+            rows.append(row)
+            reps.append(idx)
+            classes.append([])
+            peers.append(home)
+        classes[home].append(idx)
+    return reps, classes, rows
+
+
+def _quotient_order(
+    rows: Sequence[int],
+    rep_keys: Sequence,
+    complement_below: Optional[Callable[[int, int], bool]],
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], Diagnostics]:
+    """Strict order, Hasse diagram and diagnostics of the classes' order rows.
+
+    The rows must form a partial order on the class indices; they are
+    validated and reduced as a ``FinitePoset``, whose rows the strict
+    order, the Hasse diagram (sorted by the representatives' keys), the
+    SLO test and the antichain bound all read.  complement_below(j, i)
+    tells whether the complement of rep(j) reduces to rep(i); without it
+    (partitions) no SLO violation is reported.
+    """
+    k = len(rows)
+    # the relation must be a partial order; validation raises if it is not
+    order = FinitePoset(tuple(map(str, range(k))), tuple(rows))
+    up, down = order._up_int, order._down_int
+    strict = tuple((i, j) for i, above in enumerate(order._strict_above) for j in above)
+    hasse = tuple(sorted(order.hasse_edges(), key=lambda e: (rep_keys[e[0]], rep_keys[e[1]])))
+    slo = ()
+    if complement_below is not None:
+        slo = tuple((i, j) for i in range(k) for j in range(k) if not up[i] >> j & 1 and not complement_below(j, i))
+    incomparable = [[not (up[i] | down[i]) >> j & 1 for j in range(k)] for i in range(k)]
+    diag = Diagnostics(max_antichain=_max_clique(incomparable) if k else 0, slo_violations=slo)
+    return strict, hasse, diag
 
 
 def _item_key(item: Item):
@@ -500,7 +684,7 @@ def _max_clique(adj: list[list[bool]]) -> int:
     return best
 
 
-def structure_label(D: DegreeStructure) -> StructureReport:
+def structure_label(D: "DegreeStructure | SubsetQuotient") -> StructureReport:
     very_good = not D.diagnostics.slo_violations and D.diagnostics.max_antichain <= 2
     return StructureReport(
         finitely_very_good=very_good,

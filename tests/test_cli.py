@@ -115,6 +115,51 @@ def test_degrees_fan3_stdout_is_pinned(capsys, tmp_path):
     assert digest == "8d2203b216aa73a2328af6fbe1375da87fa4826644fb6308b5618f0958935b90"
 
 
+def test_degrees_all_fan3_uses_the_census(capsys, tmp_path, monkeypatch):
+    """degrees --all classifies no set, runs no search and builds no list of subsets."""
+    from finwadge import cli, hierarchy, wadge
+
+    calls = {"classify": 0, "search": 0, "all_subsets": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (hierarchy, wadge):
+        monkeypatch.setattr(module, "classify", counted("classify", module.classify))
+    monkeypatch.setattr(wadge, "_first_map", counted("search", wadge._first_map))
+    monkeypatch.setattr(cli, "all_subsets", counted("all_subsets", cli.all_subsets))
+    path = tmp_path / "fan3.json"
+    built = fan(3)
+    save_document(PosetDocument(built.space, dict(built.sets)), path)
+    code, out = run(capsys, "degrees", str(path), "--all", "--cap", "12")
+    assert code == 0
+    assert calls == {"classify": 0, "search": 0, "all_subsets": 0}
+    assert json.loads(out)["items"] == 4096
+
+
+def test_degrees_all_beyond_the_census_limit_exits_2(capsys, tmp_path):
+    path = tmp_path / "c25.json"
+    save_document(PosetDocument(chain(25)), path)
+    assert main(["degrees", str(path), "--all", "--cap", "30"]) == 2
+    assert capsys.readouterr().err == "error: |X| = 25 exceeds the level census limit 24\n"
+
+
+def test_parser_is_built_once(capsys, chain2_doc, monkeypatch):
+    from finwadge import cli
+
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    for argv in (["space", chain2_doc], ["classify", chain2_doc, "top"], ["degrees", chain2_doc, "--all"]):
+        assert run(capsys, *argv)[0] == 0
+    assert len(builds) == 1
+
+
 def test_classify_large_space_stdout_is_pinned(capsys, tmp_path):
     """Levels and witness chains of the named fan(18) sets and three seeded 160-chain subsets."""
     built = fan(18)

@@ -7,6 +7,7 @@ from hypothesis import given
 
 from finwadge import (
     CapExceeded,
+    build_poset,
     DiffLevel,
     NotIncreasing,
     NotOpen,
@@ -22,7 +23,7 @@ from finwadge import (
     oracle_level,
 )
 from finwadge.enumeration import all_posets, random_mask, random_monotone_map, random_poset
-from finwadge.hierarchy import is_alternating
+from finwadge.hierarchy import is_alternating, subset_levels
 from finwadge.wadge import all_subsets
 
 from conftest import brute_longest_alternating, poset_with_mask, reference_longest_alternating_chain
@@ -248,3 +249,25 @@ def test_npose_delta_pair(small_poset_zoo):
     A = P.mask(["e1", "e2"])
     assert classify(P, A).label == "ProperDelta(2)"
     assert classify(P, A.complement()).label == "ProperDelta(2)"
+
+
+def _census_matches_classify(P):
+    levels = subset_levels(P)
+    assert sum(members.bit_count() for members in levels.values()) == 1 << P.n
+    for A in all_subsets(P):
+        assert [lv for lv, members in levels.items() if members >> A.value & 1] == [classify(P, A)]
+
+
+def test_subset_levels_match_classify_on_every_small_type():
+    """The bit-sliced census gives every subset exactly the level classify gives it."""
+    _census_matches_classify(build_poset([], []))
+    for n in range(1, 7):
+        for P in all_posets(n):
+            _census_matches_classify(P)
+
+
+def test_subset_levels_match_classify_on_random_posets():
+    rng = random.Random(1407)
+    for _ in range(30):
+        _census_matches_classify(random_poset(rng, rng.randint(7, 10)))
+    _census_matches_classify(fan(3).space)

@@ -542,3 +542,13 @@ def test_isomorphism_witness_matches_reference():
 
 def test_isomorphism_of_long_chains_does_not_recurse():
     assert poset_isomorphic(chain(1100), chain(1100)) == tuple(range(1100))
+
+
+def test_isomorphism_reads_int_rows():
+    """poset_isomorphic compares int rows; it builds no bool matrix."""
+    rng = random.Random(32)
+    for P in all_posets(5):
+        # fresh copies: relabelled reads the leq view of its argument
+        X, Y = (FinitePoset(Z.labels, Z._up_int) for Z in (P, relabelled(P, rng)))
+        assert poset_isomorphic(X, Y) is not None
+        assert "leq" not in vars(X) and "leq" not in vars(Y)

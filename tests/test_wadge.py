@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 
 from finwadge import (
+    CapExceeded,
     ColorCountMismatch,
     KPartition,
     MonotoneMap,
@@ -37,7 +38,9 @@ from finwadge.enumeration import (
     random_retraction,
 )
 from finwadge.verify import level_degree_findings
-from finwadge.wadge import _max_clique, _partition_reduces, _search_map, all_subsets
+from finwadge.cli import _degrees_report
+from finwadge.documents import degrees_to_dot
+from finwadge.wadge import _max_clique, _partition_reduces, _search_map, all_subsets, subset_quotient
 
 from conftest import (
     all_monotone_maps,
@@ -499,16 +502,92 @@ def test_level_degree_measurement_is_pinned():
     assert split_types == 13
 
 
-def test_level_degree_findings_classifies_one_set_per_degree(monkeypatch):
+def test_level_degree_findings_classifies_nothing(monkeypatch):
+    """The census gives each of the 532 degrees its level; no set is classified."""
     calls = []
-    classify_ = verify.classify
-    monkeypatch.setattr(verify, "classify", lambda P, A: calls.append(A) or classify_(P, A))
-    degrees = 0
-    for n in range(1, 6):
+    for module in (verify, wadge):
+        classify_ = module.classify
+        monkeypatch.setattr(module, "classify", lambda P, A, f=classify_: calls.append(A) or f(P, A))
+    findings = [level_degree_findings(P) for n in range(1, 6) for P in all_posets(n)]
+    monkeypatch.undo()
+    degrees = sum(len(degree_structure(P, all_subsets(P)).classes) for n in range(1, 6) for P in all_posets(n))
+    assert len(calls) == 0 and degrees == 532
+    assert sum(map(bool, findings)) == 13
+
+
+# --- the level census of all subsets ----------------------------------------
+
+
+def _census_matches_oracle(P):
+    Q = subset_quotient(P)
+    D = degree_structure(P, all_subsets(P))
+    assert _degrees_report(P, Q) == _degrees_report(P, D)
+    assert degrees_to_dot(P, Q) == degrees_to_dot(P, D)
+    assert Q.class_levels == tuple(classify(P, R) for R in D.class_reps)
+
+
+def test_subset_quotient_matches_degree_structure_on_every_small_type():
+    """The census reports what the pairwise quotient reports, on every type n <= 6."""
+    _census_matches_oracle(build_poset([], []))
+    for n in range(1, 7):
         for P in all_posets(n):
-            level_degree_findings(P)
-            degrees += len(degree_structure(P, all_subsets(P)).classes)
-    assert len(calls) == degrees == 532
+            _census_matches_oracle(P)
+
+
+def test_subset_quotient_matches_degree_structure_on_random_posets_and_fans():
+    rng = random.Random(1408)
+    for _ in range(12):
+        _census_matches_oracle(random_poset(rng, rng.randint(7, 10)))
+    for N in range(1, 5):
+        _census_matches_oracle(fan(N).space)
+
+
+def test_fan5_quotient_is_pinned():
+    """fan(5): 23 elements, 8,388,608 subsets, 16 classes, from the census alone."""
+    Q = subset_quotient(fan(5).space)
+    assert Q.class_sizes == (
+        1, 5040, 5040, 216831, 216831, 1043280, 1043280, 1592576, 1592576,
+        1016064, 1016064, 287744, 287744, 32768, 32768, 1,
+    )
+    assert Q.item_count == 1 << 23
+    # one Sigma and one Pi class per level 1..7, between the empty set and the whole space
+    sides = [("Pi", "Sigma") if k % 2 else ("Sigma", "Pi") for k in range(1, 8)]
+    assert [lv.label for lv in Q.class_levels] == (
+        ["ProperSigma(0)"] + [f"Proper{side}({k})" for k, pair in enumerate(sides, 1) for side in pair] + ["ProperPi(0)"]
+    )
+    assert Q.diagnostics.max_antichain == 2 and not Q.diagnostics.slo_violations
+    assert (len(Q.strict_order), len(Q.hasse)) == (112, 28)
+
+
+def test_subset_quotient_refuses_more_than_24_elements():
+    with pytest.raises(CapExceeded, match="level census limit 24"):
+        subset_quotient(chain(25))
+    with pytest.raises(CapExceeded, match="all-subsets cap 6"):
+        subset_quotient(chain(7), cap=6)
+
+
+def test_duality_pairs_match_wadge_reduces():
+    """The duality suite's per-pair reductions are wadge_reduces', on every type n <= 4."""
+    for n in range(1, 5):
+        for P in all_posets(n):
+            table = verify._level_table(P)
+            subsets = all_subsets(P)
+            assert table == [classify(P, A) for A in sorted(subsets, key=lambda A: A.value)]
+            for A in subsets:
+                for B in subsets:
+                    assert verify._pair_reduction(P, table, A, B) == wadge_reduces(P, A, B)
+
+
+def test_duality_classifies_only_in_its_level_check(monkeypatch):
+    calls = {"verify": 0, "wadge": 0}
+    for name, module in (("verify", verify), ("wadge", wadge)):
+        classify_ = module.classify
+        monkeypatch.setattr(
+            module, "classify", lambda P, A, f=classify_, k=name: calls.__setitem__(k, calls[k] + 1) or f(P, A)
+        )
+    result = verify.suite_duality(4)
+    assert result.passed
+    assert calls == {"verify": 2 * 306, "wadge": 0}  # a subset and its complement, 306 subsets
 
 
 # --- retractions ----------------------------------------------------------
