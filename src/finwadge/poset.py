@@ -347,8 +347,7 @@ class FinitePoset:
         for x in reversed(self.linext):  # successors decided first
             bit = 1 << x
             found += [v | bit for v in found if self._up_int[x] & ~v == bit]
-        # cardinality, then sets containing earlier elements first
-        found.sort(key=lambda v: (v.bit_count(), tuple(_members(v))))
+        found.sort(key=_subset_order)  # cardinality, then sets containing earlier elements first
         return tuple(found)
 
     # -- derivatives and dimension ----------------------------------------
@@ -627,6 +626,11 @@ def _raise_first_bad_pair(labels: Sequence[str], up: Sequence[int], i: int) -> N
         if up[j] & ~row:
             raise ValueError("order must be transitive")
     raise AssertionError("row has no bad pair")
+
+
+def _subset_order(value: int) -> tuple:
+    """Sort key of subsets as bitmasks: size, then the sorted members."""
+    return value.bit_count(), tuple(_members(value))
 
 
 def _members(value: int) -> Iterator[int]:

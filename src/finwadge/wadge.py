@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Callable, ClassVar, Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 from .errors import CapExceeded, ColorCountMismatch, SpaceMismatch
 from .hierarchy import DiffLevel, _element_slice, _set_bits, classify, level_leq, subset_levels
-from .poset import FinitePoset, SubsetMask, _members
+from .poset import FinitePoset, SubsetMask, _subset_order
 
 
 class ReducibilityKind(Enum):
@@ -403,9 +403,19 @@ def degree_structure(
     pi_B < sigma_A, the dual map uses chains starting outside B and
     inside A.  Under level_leq(B, A), sigma_B >= pi_A and pi_B >= sigma_A
     give pi_A <= sigma_B <= sigma_A <= pi_B <= pi_A, so both conditions
-    fail only when all four ranks are equal.  The level of a complement
-    is its set's level with the two ranks swapped, so ``classify`` runs
-    on at most one set of each complement pair.
+    fail only when all four ranks are equal.
+
+    Nor do ProperDelta(1) sets split: such a set A is clopen, nonempty
+    and proper, and in an Alexandrov space a clopen set is a union of
+    connected components.  For B also ProperDelta(1), send each
+    component of A to one point of B and each other component to one
+    point outside B.  The map is constant on each component, so it is
+    monotone, and its preimage of B is A.  So the kernel runs only
+    between two sets of one ProperDelta(k) level with k >= 2.
+
+    The level of a complement is its set's level with the two ranks
+    swapped, so ``classify`` runs on at most one set of each complement
+    pair.
     """
     items = tuple(items)
     if items:
@@ -440,15 +450,7 @@ def degree_structure(
 
     sigs = [signature(item) for item in items]
     reps, classes, rows = _classes(X, kind, items, sigs)
-    rep_items = [items[r] for r in reps]
-
-    def complement_below(j: int, i: int) -> bool:
-        comp = rep_items[j].complement()
-        return _below(X, kind, comp, signature(comp), rep_items[i], sigs[reps[i]])
-
-    strict, hasse, diag = _quotient_order(
-        rows, [_item_key(it) for it in rep_items], complement_below if subsets else None
-    )
+    strict, hasse, diag = _quotient_order(X, kind, [items[r] for r in reps], [sigs[r] for r in reps], rows)
     return DegreeStructure(
         items=items,
         kind=kind,
@@ -467,14 +469,14 @@ def subset_quotient(X: FinitePoset, cap: Optional[int] = None) -> SubsetQuotient
     """The quotient of all subsets of X under WADGE, from the level census.
 
     It equals ``degree_structure(X, all_subsets(X))`` class by class, but
-    only the members of ProperDelta levels are ever listed.  By the level
-    theorem of ``degree_structure``, every other level of the census
-    (``subset_levels``) is one class: its size is the popcount of the
-    level's int, and its representative is found with ANDs
-    (``_first_members``).  The members of a ProperDelta level go in
-    ``all_subsets`` order through ``_classes`` and the kernel, as in
-    ``degree_structure``; the kernel relates the classes of one Delta
-    level, and levels relate every other pair of classes.
+    only the members of ProperDelta(k) levels with k >= 2 are ever
+    listed.  By the level theorem of ``degree_structure``, every other
+    level of the census (``subset_levels``) is one class: its first
+    member in ``all_subsets`` order, found with ANDs (``_first_members``),
+    stands for the whole level, whose size is the popcount of its int.
+    These items and the members of the levels that may split go in
+    ``all_subsets`` order through the grouping and the order pass of
+    ``degree_structure``.
 
     The census holds ints of 2^n bits, a few dozen at a time, so memory
     limits n to CENSUS_MAX_SIZE; a larger space raises CapExceeded, as
@@ -484,49 +486,25 @@ def subset_quotient(X: FinitePoset, cap: Optional[int] = None) -> SubsetQuotient
     if X.n > CENSUS_MAX_SIZE:
         raise CapExceeded(f"|X| = {X.n} exceeds the level census limit {CENSUS_MAX_SIZE}")
     census = subset_levels(X)
-    proper = [level for level in census if level.kind != "delta"]
-    # (representative, size, level, index among its Delta level's classes or -1)
-    found = [
-        (first, census[level].bit_count(), level, -1)
-        for level, first in zip(proper, _first_members(X.n, [census[level] for level in proper]))
-    ]
-    delta_rows: dict[DiffLevel, list[int]] = {}
-    for level, members in census.items():
-        if level.kind == "delta":
-            items = [X.mask_from_int(v) for v in sorted(_set_bits(members), key=_subset_order)]
-            reps, classes, delta_rows[level] = _classes(X, ReducibilityKind.WADGE, items, [(level,)] * len(items))
-            found += [(items[r].value, len(c), level, k) for k, (r, c) in enumerate(zip(reps, classes))]
-    found.sort(key=lambda c: _subset_order(c[0]))
-    values, sizes, levels, local = zip(*found)
-    rows = []
-    for level, k in zip(levels, local):
-        row = 0
-        for j, other in enumerate(levels):
-            if k >= 0 and other == level:
-                row |= (delta_rows[level][k] >> local[j] & 1) << j
-            elif level_leq(level, other):
-                row |= 1 << j
-        rows.append(row)
-    reps = [X.mask_from_int(v) for v in values]
-
-    def complement_below(j: int, i: int) -> bool:
-        dual = DiffLevel(levels[j].pi_rank, levels[j].sigma_rank)
-        return _below(X, ReducibilityKind.WADGE, reps[j].complement(), (dual,), reps[i], (levels[i],))
-
-    strict, hasse, diag = _quotient_order(rows, [_item_key(rep) for rep in reps], complement_below)
+    whole = [level for level in census if not _may_split(level)]
+    found = [(first, level) for level, first in zip(whole, _first_members(X.n, [census[lv] for lv in whole]))]
+    found += [(v, level) for level, members in census.items() if _may_split(level) for v in _set_bits(members)]
+    found.sort(key=lambda pair: _subset_order(pair[0]))
+    items = [X.mask_from_int(v) for v, _ in found]
+    sigs = [(level,) for _, level in found]
+    reps, classes, rows = _classes(X, ReducibilityKind.WADGE, items, sigs)
+    levels = tuple(sigs[r][0] for r in reps)
+    sizes = tuple(len(c) if _may_split(lv) else census[lv].bit_count() for lv, c in zip(levels, classes))
+    rep_items = [items[r] for r in reps]
+    strict, hasse, diag = _quotient_order(X, ReducibilityKind.WADGE, rep_items, [sigs[r] for r in reps], rows)
     return SubsetQuotient(
-        class_reps=tuple(reps),
+        class_reps=tuple(rep_items),
         class_sizes=sizes,
         class_levels=levels,
         strict_order=strict,
         hasse=hasse,
         diagnostics=diag,
     )
-
-
-def _subset_order(value: int) -> tuple:
-    """Sort key of ``all_subsets`` order: size, then the sorted members."""
-    return value.bit_count(), tuple(_members(value))
 
 
 def _first_members(n: int, indicators: Sequence[int]) -> list[int]:
@@ -576,14 +554,20 @@ def _below(X: FinitePoset, kind: ReducibilityKind, a: Item, sa: tuple, b: Item, 
     """Whether item a reduces to item b, given their level signatures.
 
     The signatures pre-filter the search as in ``wadge_reduces``, and
-    between subsets under WADGE they decide it outside equal Delta
-    levels (the level theorem of ``degree_structure``).
+    between subsets under WADGE they decide it unless both sets are
+    ProperDelta(k) for one k >= 2 (the level theorem of
+    ``degree_structure``).
     """
     if not all(map(level_leq, sa, sb)):
         return False
-    if kind is ReducibilityKind.WADGE and isinstance(a, SubsetMask) and (sa != sb or sa[0].kind != "delta"):
-        return True  # the rank map of the proof reduces a to b
+    if kind is ReducibilityKind.WADGE and isinstance(a, SubsetMask) and (sa != sb or not _may_split(sa[0])):
+        return True  # a map of the level theorem's proof reduces a to b
     return _first_map(X, _domains(X, a, b), kind) is not None
+
+
+def _may_split(level: DiffLevel) -> bool:
+    """Whether a level may hold more than one degree: ProperDelta(k), k >= 2."""
+    return level.sigma_rank == level.pi_rank >= 2
 
 
 def _classes(
@@ -626,28 +610,35 @@ def _classes(
 
 
 def _quotient_order(
-    rows: Sequence[int],
-    rep_keys: Sequence,
-    complement_below: Optional[Callable[[int, int], bool]],
+    X: FinitePoset, kind: ReducibilityKind, reps: Sequence[Item], sigs: Sequence[tuple], rows: Sequence[int]
 ) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], Diagnostics]:
     """Strict order, Hasse diagram and diagnostics of the classes' order rows.
 
-    The rows must form a partial order on the class indices; they are
-    validated and reduced as a ``FinitePoset``, whose rows the strict
-    order, the Hasse diagram (sorted by the representatives' keys), the
-    SLO test and the antichain bound all read.  complement_below(j, i)
-    tells whether the complement of rep(j) reduces to rep(i); without it
-    (partitions) no SLO violation is reported.
+    Class i has the representative reps[i] and the level signature
+    sigs[i].  The rows must form a partial order on the class indices;
+    they are validated and reduced as a ``FinitePoset``, whose rows the
+    strict order, the Hasse diagram (sorted by the representatives'
+    keys), the SLO test and the antichain bound all read.  The SLO test
+    asks whether the complement of rep(j) reduces to rep(i); the
+    complement's signature is rep(j)'s with the two ranks swapped.
+    Partitions have no complement and report no SLO violation.
     """
     k = len(rows)
     # the relation must be a partial order; validation raises if it is not
     order = FinitePoset(tuple(map(str, range(k))), tuple(rows))
     up, down = order._up_int, order._down_int
     strict = tuple((i, j) for i, above in enumerate(order._strict_above) for j in above)
-    hasse = tuple(sorted(order.hasse_edges(), key=lambda e: (rep_keys[e[0]], rep_keys[e[1]])))
+    keys = [_item_key(rep) for rep in reps]
+    hasse = tuple(sorted(order.hasse_edges(), key=lambda e: (keys[e[0]], keys[e[1]])))
     slo = ()
-    if complement_below is not None:
-        slo = tuple((i, j) for i in range(k) for j in range(k) if not up[i] >> j & 1 and not complement_below(j, i))
+    if reps and isinstance(reps[0], SubsetMask):
+        duals = [tuple(DiffLevel(lv.pi_rank, lv.sigma_rank) for lv in sig) for sig in sigs]
+        slo = tuple(
+            (i, j)
+            for i in range(k)
+            for j in range(k)
+            if not up[i] >> j & 1 and not _below(X, kind, reps[j].complement(), duals[j], reps[i], sigs[i])
+        )
     incomparable = [[not (up[i] | down[i]) >> j & 1 for j in range(k)] for i in range(k)]
     diag = Diagnostics(max_antichain=_max_clique(incomparable) if k else 0, slo_violations=slo)
     return strict, hasse, diag
@@ -655,7 +646,7 @@ def _quotient_order(
 
 def _item_key(item: Item):
     if isinstance(item, SubsetMask):
-        return item.bits
+        return item.bitstring()
     return item.colors
 
 

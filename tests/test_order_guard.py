@@ -1,8 +1,10 @@
-"""Only ``poset.py`` reads the bool order matrices: the library reads int rows.
+"""Only ``poset.py`` reads the bool views: the library reads ints.
 
 ``FinitePoset`` stores its order once, as int rows, and derives the bool
-matrices ``leq`` and ``cover`` from them on first use.  Keeping every
-other module on the rows keeps the choice of format inside one module.
+matrices ``leq`` and ``cover`` from them on first use; ``SubsetMask`` is
+an int, and ``bits`` is its derived bool membership vector.  Keeping
+every other module on the ints keeps the choice of format inside one
+module.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import finwadge
 
-VIEWS = {"leq", "cover"}  # attributes holding a derived bool matrix
+VIEWS = {"leq", "cover", "bits"}  # attributes holding a derived bool matrix or vector
 CONVERTERS = {"_bool_row"}  # helpers that build bool matrix rows
 
 
@@ -44,9 +46,9 @@ def test_guard_sees_views_and_converters():
         "from .poset import _bool_row, _members\n"
         "def f(P, Q):\n"
         "    return P.leq[0][1], Q.cover, level_leq(P, Q), P._up_int\n"
-        "def g(row):\n"
-        "    return _bool_row(row, 3), poset._bool_row\n"
+        "def g(row, A):\n"
+        "    return _bool_row(row, 3), poset._bool_row, A.bits, A.bitstring()\n"
     )
     assert order_matrix_uses(ast.parse(source)) == [
-        (1, "_bool_row"), (3, "cover"), (3, "leq"), (5, "_bool_row"), (5, "_bool_row")
+        (1, "_bool_row"), (3, "cover"), (3, "leq"), (5, "_bool_row"), (5, "_bool_row"), (5, "bits")
     ]

@@ -9,6 +9,7 @@ from hypothesis import given
 from finwadge import (
     CapExceeded,
     ColorCountMismatch,
+    DiffLevel,
     KPartition,
     MonotoneMap,
     ReducibilityKind,
@@ -24,6 +25,7 @@ from finwadge import (
     is_monotone,
     is_retraction,
     level_leq,
+    linear_sum,
     partition_reduces,
     poset_isomorphic,
     structure_label,
@@ -264,8 +266,26 @@ def test_sigma_and_pi_labels_never_split():
     assert searches == 35340
 
 
+def test_delta1_sets_never_split():
+    """Every ProperDelta(1) set reduces to every other one (clopen sets).
+
+    Checked with the search kernel on every ordered pair of such sets of
+    every type with n <= 6, since ``degree_structure`` decides these
+    pairs by the level theorem's corollary without a search.
+    """
+    pairs = 0
+    for n in range(1, 7):
+        for P in all_posets(n):
+            clopen = [A for A in all_subsets(P) if classify(P, A) == DiffLevel(1, 1)]
+            for a, b in product(clopen, repeat=2):
+                pairs += 1
+                found = wadge._first_map(P, wadge._domains(P, a, b), ReducibilityKind.WADGE)
+                assert found is not None, (P.hasse_edges(), P.members(a), P.members(b))
+    assert pairs == 7856
+
+
 def test_searches_only_inside_equal_delta_levels(monkeypatch):
-    """Subset quotients run the kernel only on pairs of one ProperDelta level."""
+    """Subset quotients run the kernel only on pairs of one ProperDelta(k) level, k >= 2."""
     seen = []
     domains = wadge._domains
 
@@ -281,7 +301,7 @@ def test_searches_only_inside_equal_delta_levels(monkeypatch):
     assert seen  # the Delta splits of criterion 4 still need the kernel
     for P, a, b in seen:
         la, lb = classify(P, a), classify(P, b)
-        assert la == lb and la.kind == "delta", (P.members(a), P.members(b))
+        assert la == lb and la.kind == "delta" and la.level >= 2, (P.members(a), P.members(b))
 
 
 def test_duality_same_witness():
@@ -540,6 +560,12 @@ def test_subset_quotient_matches_degree_structure_on_random_posets_and_fans():
         _census_matches_oracle(random_poset(rng, rng.randint(7, 10)))
     for N in range(1, 5):
         _census_matches_oracle(fan(N).space)
+    # Delta-heavy: every nonempty proper subset of an antichain is ProperDelta(1),
+    # and linear sums of antichains have ProperDelta(2) and (3) members
+    for N in range(2, 13):
+        _census_matches_oracle(antichain(N))
+    _census_matches_oracle(linear_sum(antichain(3), antichain(4)))
+    _census_matches_oracle(linear_sum(antichain(2), linear_sum(antichain(3), antichain(2))))
 
 
 def test_fan5_quotient_is_pinned():
@@ -557,6 +583,16 @@ def test_fan5_quotient_is_pinned():
     )
     assert Q.diagnostics.max_antichain == 2 and not Q.diagnostics.slo_violations
     assert (len(Q.strict_order), len(Q.hasse)) == (112, 28)
+
+
+def test_antichain20_quotient_needs_no_search(monkeypatch):
+    """antichain(20): its 1,048,574 clopen subsets form one class, decided without the kernel."""
+    searches = []
+    monkeypatch.setattr(wadge, "_first_map", lambda *args: searches.append(args))
+    Q = subset_quotient(antichain(20))
+    assert Q.class_sizes == (1, 1048574, 1)
+    assert [lv.label for lv in Q.class_levels] == ["ProperSigma(0)", "ProperDelta(1)", "ProperPi(0)"]
+    assert searches == []
 
 
 def test_subset_quotient_refuses_more_than_24_elements():
