@@ -112,6 +112,8 @@ def is_monotone(X: FinitePoset, f: "MonotoneMap | Sequence[int]") -> bool:
 
 
 def constant_partitions(X: FinitePoset, k: int) -> list[KPartition]:
+    if k < 1:
+        raise ValueError("a partition needs at least one color")
     return [KPartition.constant(X, k, i) for i in range(k)]
 
 
@@ -616,32 +618,34 @@ def _quotient_order(
 
     Class i has the representative reps[i] and the level signature
     sigs[i].  The rows must form a partial order on the class indices;
-    they are validated and reduced as a ``FinitePoset``, whose rows the
-    strict order, the Hasse diagram (sorted by the representatives'
-    keys), the SLO test and the antichain bound all read.  The SLO test
-    asks whether the complement of rep(j) reduces to rep(i); the
-    complement's signature is rep(j)'s with the two ranks swapped.
-    Partitions have no complement and report no SLO violation.
+    they are validated and reduced as a ``FinitePoset``, whose int rows
+    the strict order, the Hasse diagram (sorted by the representatives'
+    keys), the SLO test and the width all read.  The SLO test asks
+    whether the complement of rep(j), built once per class, reduces to
+    rep(i); the complement's signature is rep(j)'s with the two ranks
+    swapped.  Partitions have no complement and report no SLO violation.
+    The largest antichain of the quotient is its width (``_width``).
     """
     k = len(rows)
     # the relation must be a partial order; validation raises if it is not
     order = FinitePoset(tuple(map(str, range(k))), tuple(rows))
-    up, down = order._up_int, order._down_int
+    up = order._up_int
     strict = tuple((i, j) for i, above in enumerate(order._strict_above) for j in above)
     keys = [_item_key(rep) for rep in reps]
     hasse = tuple(sorted(order.hasse_edges(), key=lambda e: (keys[e[0]], keys[e[1]])))
     slo = ()
     if reps and isinstance(reps[0], SubsetMask):
-        duals = [tuple(DiffLevel(lv.pi_rank, lv.sigma_rank) for lv in sig) for sig in sigs]
+        duals = [
+            (rep.complement(), tuple(DiffLevel(lv.pi_rank, lv.sigma_rank) for lv in sig))
+            for rep, sig in zip(reps, sigs)
+        ]
         slo = tuple(
             (i, j)
             for i in range(k)
-            for j in range(k)
-            if not up[i] >> j & 1 and not _below(X, kind, reps[j].complement(), duals[j], reps[i], sigs[i])
+            for j, (comp, dual) in enumerate(duals)
+            if not up[i] >> j & 1 and not _below(X, kind, comp, dual, reps[i], sigs[i])
         )
-    incomparable = [[not (up[i] | down[i]) >> j & 1 for j in range(k)] for i in range(k)]
-    diag = Diagnostics(max_antichain=_max_clique(incomparable) if k else 0, slo_violations=slo)
-    return strict, hasse, diag
+    return strict, hasse, Diagnostics(max_antichain=_width(up), slo_violations=slo)
 
 
 def _item_key(item: Item):
@@ -650,29 +654,47 @@ def _item_key(item: Item):
     return item.colors
 
 
-def _max_clique(adj: list[list[bool]]) -> int:
-    """Maximum clique size by branch and bound (desk-scale graphs).
+def _width(up: Sequence[int]) -> int:
+    """The size of a largest antichain of a partial order given by int rows.
 
-    Vertices are tried in order of decreasing degree.  The search runs on
-    an explicit stack: stack[d] holds the untried candidates that extend
-    the current clique of d vertices, and a frame is dropped once it
-    cannot beat the best clique found.
+    Bit j of up[i] is set iff i <= j.  By Dilworth's theorem the width
+    equals the fewest chains that cover the order, and k minus a maximum
+    matching of the bipartite graph with an edge i -> j for each strict
+    pair i < j is that number (Fulkerson): the matched edges link the
+    elements into chains.  The matching grows along augmenting paths
+    found depth-first from each element in turn (Kuhn), on an explicit
+    stack: path holds the left ends and via the right ends taken so far,
+    and each right end is entered at most once per search.  A free right
+    end among the options ends the path at once.  The width is the count
+    of right ends left unmatched.
     """
-    order = sorted(range(len(adj)), key=lambda v: -sum(adj[v]))
-    best = 0
-    stack = [order]
-    while stack:
-        current = len(stack) - 1
-        candidates = stack[-1]
-        if current + len(candidates) <= best:
-            stack.pop()
-        elif not candidates:
-            best = current
-            stack.pop()
-        else:
-            v = candidates.pop(0)
-            stack.append([u for u in candidates if adj[v][u]])
-    return best
+    k = len(up)
+    above = [row ^ 1 << i for i, row in enumerate(up)]
+    owner = [0] * k  # owner[j]: the left end matched to the right end j
+    free = (1 << k) - 1  # right ends not yet matched
+    for root in range(k):
+        unseen = (1 << k) - 1
+        path, via = [root], []
+        while path:
+            options = above[path[-1]] & unseen
+            if not options:
+                path.pop()
+                if via:
+                    via.pop()
+                continue
+            open_ends = options & free
+            pick = open_ends or options
+            low = pick & -pick
+            unseen ^= low
+            j = low.bit_length() - 1
+            via.append(j)
+            if open_ends:  # augment: each left end on the path takes its next right end
+                for left, right in zip(path, via):
+                    owner[right] = left
+                free ^= low
+                break
+            path.append(owner[j])
+    return free.bit_count()
 
 
 def structure_label(D: "DegreeStructure | SubsetQuotient") -> StructureReport:

@@ -218,6 +218,14 @@ def test_partitions_constants(capsys, fan1_doc):
     assert report["strict_order"] == []
 
 
+def test_partitions_below_one_color_exit_1(capsys, fan1_doc):
+    for k in ("0", "-2"):
+        code, out = run(capsys, "partitions", fan1_doc, "-k", k, "--constants")
+        assert (code, out) == (1, "")
+        code, out = run(capsys, "partitions", fan1_doc, "00000", "-k", k)
+        assert (code, out) == (1, "")
+
+
 def test_gallery_build_and_use(capsys, tmp_path):
     out_path = tmp_path / "fan2.json"
     code, _ = run(capsys, "gallery", "build", "fan", "2", "--out", str(out_path))

@@ -42,7 +42,7 @@ from finwadge.enumeration import (
 from finwadge.verify import level_degree_findings
 from finwadge.cli import _degrees_report
 from finwadge.documents import degrees_to_dot
-from finwadge.wadge import _max_clique, _partition_reduces, _search_map, all_subsets, subset_quotient
+from finwadge.wadge import _partition_reduces, _search_map, _width, all_subsets, subset_quotient
 
 from conftest import (
     all_monotone_maps,
@@ -844,19 +844,40 @@ def test_slow_fan_pair_has_witness():
     assert f is not None and is_monotone(X, f) and f.preimage(B) == A
 
 
-def test_max_clique_of_a_large_complete_graph_does_not_recurse():
-    n = 1100
-    adj = [[i != j for j in range(n)] for i in range(n)]
-    assert _max_clique(adj) == n
+def _incomparability(up):
+    k = len(up)
+    return [[not (up[i] >> j | up[j] >> i) & 1 for j in range(k)] for i in range(k)]
 
 
-def test_max_clique_matches_reference_oracle():
+def test_width_of_a_long_chain_or_antichain_does_not_recurse():
+    assert _width(antichain(1100)._up_int) == 1100
+    assert _width(chain(1100)._up_int) == 1
+    assert _width(()) == 0
+
+
+def test_width_matches_reference_max_clique():
+    """Dilworth's width equals the largest clique of the incomparability graph."""
+    posets = [P for n in range(1, 7) for P in all_posets(n)]
     rng = random.Random(11)
-    for n in range(1, 15):
-        for density in (0.1, 0.3, 0.5, 0.7, 0.9):
-            for _ in range(4):
-                adj = [[False] * n for _ in range(n)]
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        adj[i][j] = adj[j][i] = rng.random() < density
-                assert _max_clique(adj) == reference_max_clique(adj)
+    posets += [random_poset(rng, n) for n in range(1, 15) for _ in range(20)]
+    for P in posets:
+        assert _width(P._up_int) == reference_max_clique(_incomparability(P._up_int))
+
+
+def test_subset_quotient_width_matches_reference_max_clique():
+    """Every subset quotient with n <= 6: its max_antichain is the oracle's clique."""
+    for n in range(1, 7):
+        for P in all_posets(n):
+            Q = subset_quotient(P)
+            up = [1 << i for i in range(len(Q.class_reps))]
+            for i, j in Q.strict_order:
+                up[i] |= 1 << j
+            assert Q.diagnostics.max_antichain == reference_max_clique(_incomparability(up))
+
+
+def test_fan2_all_three_partitions_quotient_is_pinned():
+    """All 6,561 3-partitions of fan(2): 183 classes, width 66, no SLO violation."""
+    X = fan(2).space
+    D = degree_structure(X, [KPartition(X.space_id, 3, c) for c in product(range(3), repeat=X.n)])
+    assert (D.class_count, len(D.strict_order)) == (183, 2883)
+    assert D.diagnostics.max_antichain == 66 and not D.diagnostics.slo_violations
