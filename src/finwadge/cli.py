@@ -53,10 +53,6 @@ def _write_dot(text: str, path: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _kind(name: str) -> ReducibilityKind:
-    return ReducibilityKind.WADGE if name == "wadge" else ReducibilityKind.ALL_FUNCTIONS
-
-
 def cmd_space(args) -> int:
     doc = load_document(args.document)
     X = doc.poset
@@ -102,7 +98,7 @@ def cmd_reduce(args) -> int:
     X = doc.poset
     A = parse_subset(doc, args.source)
     B = parse_subset(doc, args.target)
-    witness = wadge_reduces(X, A, B, _kind(args.kind))
+    witness = wadge_reduces(X, A, B, ReducibilityKind(args.kind))
     if witness is None:
         sys.stdout.write("NONE\n")
     else:
@@ -142,7 +138,7 @@ def _degrees_report(X, D):
 def cmd_degrees(args) -> int:
     doc = load_document(args.document)
     X = doc.poset
-    kind = _kind(args.kind)
+    kind = ReducibilityKind(args.kind)
     if args.all:
         cap = args.cap if args.cap is not None else DEGREES_ALL_CAP
         if kind is ReducibilityKind.WADGE:
@@ -168,7 +164,7 @@ def cmd_partitions(args) -> int:
         items = [parse_partition(X, token, args.k) for token in args.partitions]
     else:
         raise FinWadgeError("give --constants or at least one partition")
-    D = degree_structure(X, items, _kind(args.kind))
+    D = degree_structure(X, items, ReducibilityKind(args.kind))
     _emit(_degrees_report(X, D), args.out)
     if args.dot:
         _write_dot(degrees_to_dot(X, D), args.dot)
@@ -179,18 +175,17 @@ def cmd_gallery(args) -> int:
     name = args.name
     params = args.params
     builders = {
-        "chain": (1, lambda p: PosetDocument(gallery.chain(p[0]))),
-        "antichain": (1, lambda p: PosetDocument(gallery.antichain(p[0]))),
-        "cinf": (1, lambda p: PosetDocument(gallery.truncated_c_infinity(p[0]))),
-        "expected-structure": (1, lambda p: PosetDocument(gallery.expected_structure(p[0]))),
-        "fan": (1, lambda p: _fan_document(p[0])),
+        "chain": lambda N: PosetDocument(gallery.chain(N)),
+        "antichain": lambda N: PosetDocument(gallery.antichain(N)),
+        "cinf": lambda N: PosetDocument(gallery.truncated_c_infinity(N)),
+        "expected-structure": lambda N: PosetDocument(gallery.expected_structure(N)),
+        "fan": _fan_document,
     }
     if name not in builders:
         raise FinWadgeError(f"unknown gallery space {name!r}; choose from {', '.join(sorted(builders))}")
-    arity, build = builders[name]
-    if len(params) != arity:
-        raise FinWadgeError(f"gallery {name} takes {arity} integer parameter(s)")
-    doc = build(params)
+    if len(params) != 1:
+        raise FinWadgeError(f"gallery {name} takes 1 integer parameter(s)")
+    doc = builders[name](params[0])
     save_document(doc, args.out)
     sys.stdout.write(f"wrote {args.out}\n")
     return 0
@@ -238,14 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("document")
     p.add_argument("source")
     p.add_argument("target")
-    p.add_argument("--kind", choices=("wadge", "any"), default="wadge")
+    p.add_argument("--kind", choices=[k.value for k in ReducibilityKind], default="wadge")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("degrees", help="quotient degree structure of subsets")
     p.add_argument("document")
     p.add_argument("subsets", nargs="*")
     p.add_argument("--all", action="store_true", help="use every subset of the space")
-    p.add_argument("--kind", choices=("wadge", "any"), default="wadge")
+    p.add_argument("--kind", choices=[k.value for k in ReducibilityKind], default="wadge")
     p.add_argument("--cap", type=int, default=None)
     p.add_argument("--dot", default=None)
     p.add_argument("--out", default=None)
@@ -256,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("partitions", nargs="*", help="color strings in element-index order")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--constants", action="store_true", help="use the k constant partitions")
-    p.add_argument("--kind", choices=("wadge", "any"), default="wadge")
+    p.add_argument("--kind", choices=[k.value for k in ReducibilityKind], default="wadge")
     p.add_argument("--dot", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_partitions)

@@ -61,6 +61,10 @@ class DiffLevel:
             return f"ProperPi({pi})"
         return f"ProperDelta({sigma})"
 
+    def complement(self) -> "DiffLevel":
+        """The level of the complement: the two ranks swapped."""
+        return DiffLevel(self.pi_rank, self.sigma_rank)
+
 
 def level_leq(a: DiffLevel, b: DiffLevel) -> bool:
     """Pointclass order: every class containing b also contains a.

@@ -595,37 +595,22 @@ def _topological_order(succ: Sequence[Sequence[int]]) -> Optional[list[int]]:
 
 
 def _reject_order(labels: Sequence[str], up: Sequence[int]) -> None:
-    """Raise for rows that are not a partial order, naming the first bad row.
+    """Raise for rows that are not a partial order, naming the first bad pair.
 
-    Rows are checked in index order: row i is sound iff it holds i,
-    nothing above i is also below it, and the rows of the elements above
-    i add nothing to it.
+    Rows are checked in index order: row i must hold i, and then each
+    pair (i, j) of row i, by increasing j, must have j not below i
+    (antisymmetry) and row j inside row i (transitivity), in that order.
+    Only input that failed the validation of ``FinitePoset`` comes here.
     """
-    down = [0] * len(up)
-    for i, row in enumerate(up):
-        for j in _members(row):
-            down[j] |= 1 << i
     for i, row in enumerate(up):
         if not row >> i & 1:
             raise ValueError("order must be reflexive")
-        if row & down[i] != 1 << i or reduce(or_, compress(up, _bit_flags(row))) != row:
-            _raise_first_bad_pair(labels, up, i)
+        for j in _members(row ^ 1 << i):
+            if up[j] >> i & 1:
+                raise CycleError(f"antisymmetry violated on {labels[i]!r}, {labels[j]!r}")
+            if up[j] & ~row:
+                raise ValueError("order must be transitive")
     raise AssertionError("rows form a partial order")
-
-
-def _raise_first_bad_pair(labels: Sequence[str], up: Sequence[int], i: int) -> None:
-    """Raise for the first pair (i, j) of row i that breaks the order axioms.
-
-    Pairs are taken in increasing j, and antisymmetry is checked before
-    transitivity.
-    """
-    row = up[i]
-    for j in _members(row & ~(1 << i)):
-        if up[j] >> i & 1:
-            raise CycleError(f"antisymmetry violated on {labels[i]!r}, {labels[j]!r}")
-        if up[j] & ~row:
-            raise ValueError("order must be transitive")
-    raise AssertionError("row has no bad pair")
 
 
 def _subset_order(value: int) -> tuple:

@@ -13,9 +13,9 @@ from typing import Optional
 
 from .enumeration import POSET_COUNTS, all_posets
 from .errors import CapExceeded
-from .hierarchy import DiffLevel, _set_bits, classify, level_leq, oracle_level, subset_levels
-from .poset import FinitePoset, SubsetMask
-from .wadge import MonotoneMap, ReducibilityKind, _domains, _first_map, all_subsets, subset_quotient
+from .hierarchy import DiffLevel, _set_bits, classify, oracle_level, subset_levels
+from .poset import FinitePoset
+from .wadge import ReducibilityKind, _reduction, all_subsets, subset_quotient
 
 MAX_ENUM_SIZE = 5
 
@@ -93,11 +93,12 @@ def suite_classify_oracle(max_size: int) -> VerifyResult:
 def suite_duality(max_size: int) -> VerifyResult:
     """Complement symmetry of levels and of reductions (same witness).
 
-    The pair loop reads each subset's level from the level census of its
-    type (``_pair_reduction``), so ``classify`` runs only in the level
-    check, which tests ``classify`` itself.
+    The pair loop hands ``_reduction`` each subset's level from the level
+    census of its type, so ``classify`` runs only in the level check,
+    which tests ``classify`` itself.
     """
     result = VerifyResult("duality", True, 0)
+    wadge = ReducibilityKind.WADGE
     for size in _sizes(max_size):
         for P in _enumerate_checked(result, size):
             subsets = all_subsets(P)
@@ -106,21 +107,23 @@ def suite_duality(max_size: int) -> VerifyResult:
                 lv = classify(P, A)
                 lv_c = classify(P, A.complement())
                 result.checked += 1
-                if (lv.sigma_rank, lv.pi_rank) != (lv_c.pi_rank, lv_c.sigma_rank):
+                if lv_c != lv.complement():
                     result.findings.append(
                         f"level duality fails on {_describe(P)} subset {P.members(A)}"
                     )
             for A in subsets:
+                A_c = A.complement()
                 for B in subsets:
-                    f = _pair_reduction(P, levels, A, B)
+                    B_c = B.complement()
+                    f = _reduction(P, wadge, A, B, (levels[A.value],), (levels[B.value],))
                     result.checked += 1
                     if f is None:
-                        if _pair_reduction(P, levels, A.complement(), B.complement()) is not None:
+                        if _reduction(P, wadge, A_c, B_c, (levels[A_c.value],), (levels[B_c.value],)) is not None:
                             result.findings.append(
                                 f"reduction duality fails on {_describe(P)}: "
                                 f"{P.members(A)} vs {P.members(B)}"
                             )
-                    elif f.preimage(B.complement()) != A.complement():
+                    elif f.preimage(B_c) != A_c:
                         result.findings.append(
                             f"witness does not dualize on {_describe(P)}: "
                             f"{P.members(A)} -> {P.members(B)}"
@@ -136,15 +139,6 @@ def _level_table(P: FinitePoset) -> list[DiffLevel]:
         for value in _set_bits(members):
             table[value] = level
     return table
-
-
-def _pair_reduction(
-    P: FinitePoset, levels: list[DiffLevel], A: SubsetMask, B: SubsetMask
-) -> Optional[MonotoneMap]:
-    """What ``wadge_reduces(P, A, B)`` returns, with both levels read from the table."""
-    if not level_leq(levels[A.value], levels[B.value]):
-        return None
-    return _first_map(P, _domains(P, A, B), ReducibilityKind.WADGE)
 
 
 SUITES = {

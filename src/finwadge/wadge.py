@@ -127,15 +127,12 @@ def wadge_reduces(
 
     The witness is the first solution along the cached linear extension,
     with targets tried in increasing index order, so it is deterministic.
-    A pre-filter rejects the search outright when the difference level of
-    A exceeds that of B, which is sound because the levels are closed
-    under continuous preimages.
+    The level signatures of A and B prefilter the search (``_reduction``).
     """
     X.check_mask(A)
     X.check_mask(B)
-    if kind is ReducibilityKind.WADGE and not level_leq(classify(X, A), classify(X, B)):
-        return None
-    return _first_map(X, _domains(X, A, B), kind)
+    sa, sb = _signatures(X, kind, (A, B))
+    return _reduction(X, kind, A, B, sa, sb)
 
 
 def partition_reduces(X: FinitePoset, mu: KPartition, nu: KPartition) -> Optional[MonotoneMap]:
@@ -151,11 +148,8 @@ def _partition_reduces(
     X: FinitePoset, mu: KPartition, nu: KPartition, kind: ReducibilityKind
 ) -> Optional[MonotoneMap]:
     _check_partitions(X, mu, nu)
-    if kind is ReducibilityKind.WADGE:
-        for c in range(mu.k):
-            if not level_leq(classify(X, mu.color_class(c)), classify(X, nu.color_class(c))):
-                return None
-    return _first_map(X, _domains(X, mu, nu), kind)
+    smu, snu = _signatures(X, kind, (mu, nu))
+    return _reduction(X, kind, mu, nu, smu, snu)
 
 
 def _check_partitions(X: FinitePoset, mu: KPartition, nu: KPartition) -> None:
@@ -165,6 +159,48 @@ def _check_partitions(X: FinitePoset, mu: KPartition, nu: KPartition) -> None:
         raise SpaceMismatch("partition length does not match the space")
     if mu.k != nu.k:
         raise ColorCountMismatch(f"color counts differ: {mu.k} vs {nu.k}")
+
+
+def _signatures(X: FinitePoset, kind: ReducibilityKind, items: Sequence[Item]) -> list[tuple[DiffLevel, ...]]:
+    """The level signature of each item, the key of every prefilter.
+
+    Under WADGE it is the difference level of a subset and the tuple of
+    its color classes' levels for a partition; under ALL_FUNCTIONS it is
+    ``()``, as levels are not closed under arbitrary preimages.  The
+    level of a complement is its set's level with the two ranks swapped,
+    so ``classify`` runs on at most one set of each complement pair.
+    """
+    if kind is not ReducibilityKind.WADGE:
+        return [()] * len(items)
+    full = (1 << X.n) - 1
+    levels: dict[int, DiffLevel] = {}
+    sigs = []
+    for item in items:
+        sig = []
+        for mask in (item,) if isinstance(item, SubsetMask) else map(item.color_class, range(item.k)):
+            level = levels.get(mask.value)
+            if level is None:
+                dual = levels.get(mask.value ^ full)
+                level = classify(X, mask) if dual is None else dual.complement()
+                levels[mask.value] = level
+            sig.append(level)
+        sigs.append(tuple(sig))
+    return sigs
+
+
+def _reduction(
+    X: FinitePoset, kind: ReducibilityKind, a: Item, b: Item, sa: tuple, sb: tuple
+) -> Optional[MonotoneMap]:
+    """The kernel's witness that item a reduces to item b, or None.
+
+    sa and sb are the items' level signatures (``_signatures``).  Levels
+    are closed under continuous preimages, so a reduction needs every
+    entry of sa at or below the same entry of sb, and the search runs
+    only when they are.
+    """
+    if not all(map(level_leq, sa, sb)):
+        return None
+    return _first_map(X, _domains(X, a, b), kind)
 
 
 def _domains(X: FinitePoset, a: Item, b: Item) -> list[int]:
@@ -284,8 +320,24 @@ def _search_map(X: FinitePoset, domains: Sequence[int]) -> Optional[tuple[int, .
 
 @dataclass(frozen=True)
 class Diagnostics:
+    """Shape diagnostics for a finite degree structure.
+
+    Every finite structure is trivially a well-quasi-order, so only the
+    finite analogue of semi-well-ordering is reported: no SLO violations
+    and no antichain beyond size two.  Asymptotic good/bad labels are not
+    emitted; they are not observable at finite scale.
+    """
+
     max_antichain: int
     slo_violations: tuple[tuple[int, int], ...]
+
+    @property
+    def finitely_very_good(self) -> bool:
+        return not self.slo_violations and self.max_antichain <= 2
+
+    @property
+    def slo_violation_count(self) -> int:
+        return len(self.slo_violations)
 
 
 @dataclass(frozen=True)
@@ -354,21 +406,6 @@ class SubsetQuotient:
         return sum(self.class_sizes)
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    """Shape diagnostics for a finite degree structure.
-
-    Every finite structure is trivially a well-quasi-order, so only the
-    finite analogue of semi-well-ordering is reported: no SLO violations
-    and no antichain beyond size two.  Asymptotic good/bad labels are not
-    emitted; they are not observable at finite scale.
-    """
-
-    finitely_very_good: bool
-    max_antichain: int
-    slo_violation_count: int
-
-
 def all_subsets(X: FinitePoset, cap: Optional[int] = None) -> list[SubsetMask]:
     """Every subset of the space, by cardinality then earliest members."""
     _check_subset_cap(X, cap)
@@ -389,8 +426,7 @@ def degree_structure(
 ) -> DegreeStructure:
     """Quotient order of the items under the chosen reducibility.
 
-    Each item gets one level signature: its difference level for a
-    subset, the tuple of its color classes' levels for a partition, and
+    Each item gets one level signature (``_signatures``), and
     ``_classes`` groups the items by it.
 
     Subsets under WADGE need no search outside equal Delta levels: for
@@ -414,10 +450,6 @@ def degree_structure(
     point outside B.  The map is constant on each component, so it is
     monotone, and its preimage of B is A.  So the kernel runs only
     between two sets of one ProperDelta(k) level with k >= 2.
-
-    The level of a complement is its set's level with the two ranks
-    swapped, so ``classify`` runs on at most one set of each complement
-    pair.
     """
     items = tuple(items)
     if items:
@@ -430,27 +462,7 @@ def degree_structure(
             X.check_mask(item)
         else:
             _check_partitions(X, item, items[0])
-    wadge = kind is ReducibilityKind.WADGE
-    full = (1 << X.n) - 1
-    levels: dict[int, DiffLevel] = {}
-
-    def level(mask: SubsetMask) -> DiffLevel:
-        if mask.value not in levels:
-            dual_level = levels.get(mask.value ^ full)
-            if dual_level is None:
-                levels[mask.value] = classify(X, mask)
-            else:  # a complement's level swaps the two ranks
-                levels[mask.value] = DiffLevel(dual_level.pi_rank, dual_level.sigma_rank)
-        return levels[mask.value]
-
-    def signature(item: Item) -> tuple[DiffLevel, ...]:
-        if not wadge:
-            return ()
-        if subsets:
-            return (level(item),)
-        return tuple(level(item.color_class(c)) for c in range(item.k))
-
-    sigs = [signature(item) for item in items]
+    sigs = _signatures(X, kind, items)
     reps, classes, rows = _classes(X, kind, items, sigs)
     strict, hasse, diag = _quotient_order(X, kind, [items[r] for r in reps], [sigs[r] for r in reps], rows)
     return DegreeStructure(
@@ -555,16 +567,13 @@ def _first_members(n: int, indicators: Sequence[int]) -> list[int]:
 def _below(X: FinitePoset, kind: ReducibilityKind, a: Item, sa: tuple, b: Item, sb: tuple) -> bool:
     """Whether item a reduces to item b, given their level signatures.
 
-    The signatures pre-filter the search as in ``wadge_reduces``, and
-    between subsets under WADGE they decide it unless both sets are
+    Between subsets under WADGE the levels decide it unless both sets are
     ProperDelta(k) for one k >= 2 (the level theorem of
-    ``degree_structure``).
+    ``degree_structure``); every other pair goes to ``_reduction``.
     """
-    if not all(map(level_leq, sa, sb)):
-        return False
     if kind is ReducibilityKind.WADGE and isinstance(a, SubsetMask) and (sa != sb or not _may_split(sa[0])):
-        return True  # a map of the level theorem's proof reduces a to b
-    return _first_map(X, _domains(X, a, b), kind) is not None
+        return level_leq(sa[0], sb[0])
+    return _reduction(X, kind, a, b, sa, sb) is not None
 
 
 def _may_split(level: DiffLevel) -> bool:
@@ -636,7 +645,7 @@ def _quotient_order(
     slo = ()
     if reps and isinstance(reps[0], SubsetMask):
         duals = [
-            (rep.complement(), tuple(DiffLevel(lv.pi_rank, lv.sigma_rank) for lv in sig))
+            (rep.complement(), tuple(lv.complement() for lv in sig))
             for rep, sig in zip(reps, sigs)
         ]
         slo = tuple(
@@ -697,13 +706,8 @@ def _width(up: Sequence[int]) -> int:
     return free.bit_count()
 
 
-def structure_label(D: "DegreeStructure | SubsetQuotient") -> StructureReport:
-    very_good = not D.diagnostics.slo_violations and D.diagnostics.max_antichain <= 2
-    return StructureReport(
-        finitely_very_good=very_good,
-        max_antichain=D.diagnostics.max_antichain,
-        slo_violation_count=len(D.diagnostics.slo_violations),
-    )
+def structure_label(D: "DegreeStructure | SubsetQuotient") -> Diagnostics:
+    return D.diagnostics
 
 
 def is_retraction(X: FinitePoset, Y: SubsetMask, r: MonotoneMap) -> bool:

@@ -42,7 +42,7 @@ from finwadge.enumeration import (
 from finwadge.verify import level_degree_findings
 from finwadge.cli import _degrees_report
 from finwadge.documents import degrees_to_dot
-from finwadge.wadge import _partition_reduces, _search_map, _width, all_subsets, subset_quotient
+from finwadge.wadge import _partition_reduces, _reduction, _search_map, _width, all_subsets, subset_quotient
 
 from conftest import (
     all_monotone_maps,
@@ -282,6 +282,42 @@ def test_delta1_sets_never_split():
                 found = wadge._first_map(P, wadge._domains(P, a, b), ReducibilityKind.WADGE)
                 assert found is not None, (P.hasse_edges(), P.members(a), P.members(b))
     assert pairs == 7856
+
+
+def _kernel_below(P, a, b) -> bool:
+    return wadge._first_map(P, wadge._domains(P, a, b), ReducibilityKind.WADGE) is not None
+
+
+def test_below_matches_the_kernel_on_every_subset_pair():
+    """``_below``, with its level shortcuts, answers as the search kernel does.
+
+    Every ordered pair of subsets of every type with n <= 5, signatures
+    from ``classify``; the kernel decides each pair without a prefilter.
+    """
+    pairs = 0
+    for n in range(1, 6):
+        for P in all_posets(n):
+            subs = all_subsets(P)
+            sigs = [(classify(P, A),) for A in subs]
+            for (a, sa), (b, sb) in product(zip(subs, sigs), repeat=2):
+                pairs += 1
+                got = wadge._below(P, ReducibilityKind.WADGE, a, sa, b, sb)
+                assert got == _kernel_below(P, a, b), (P.hasse_edges(), P.members(a), P.members(b))
+    assert pairs == 68964
+
+
+def test_below_matches_the_kernel_on_every_three_partition_pair():
+    """The same on every ordered pair of 3-partitions of the types with n <= 3."""
+    pairs = 0
+    for n in range(1, 4):
+        for P in all_posets(n):
+            parts = [KPartition(P.space_id, 3, colors) for colors in product(range(3), repeat=n)]
+            sigs = [tuple(classify(P, mu.color_class(c)) for c in range(3)) for mu in parts]
+            for (mu, smu), (nu, snu) in product(zip(parts, sigs), repeat=2):
+                pairs += 1
+                got = wadge._below(P, ReducibilityKind.WADGE, mu, smu, nu, snu)
+                assert got == _kernel_below(P, mu, nu), (P.hasse_edges(), mu.colors, nu.colors)
+    assert pairs == 9 + 2 * 81 + 5 * 729
 
 
 def test_searches_only_inside_equal_delta_levels(monkeypatch):
@@ -603,7 +639,7 @@ def test_subset_quotient_refuses_more_than_24_elements():
 
 
 def test_duality_pairs_match_wadge_reduces():
-    """The duality suite's per-pair reductions are wadge_reduces', on every type n <= 4."""
+    """``_reduction`` on the census table's levels is wadge_reduces, on every type n <= 4."""
     for n in range(1, 5):
         for P in all_posets(n):
             table = verify._level_table(P)
@@ -611,7 +647,8 @@ def test_duality_pairs_match_wadge_reduces():
             assert table == [classify(P, A) for A in sorted(subsets, key=lambda A: A.value)]
             for A in subsets:
                 for B in subsets:
-                    assert verify._pair_reduction(P, table, A, B) == wadge_reduces(P, A, B)
+                    found = _reduction(P, ReducibilityKind.WADGE, A, B, (table[A.value],), (table[B.value],))
+                    assert found == wadge_reduces(P, A, B)
 
 
 def test_duality_classifies_only_in_its_level_check(monkeypatch):
