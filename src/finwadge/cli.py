@@ -285,7 +285,7 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (FinWadgeError, FileNotFoundError, ValueError) as exc:
+    except (FinWadgeError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

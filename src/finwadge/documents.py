@@ -65,6 +65,8 @@ def load_document(path: "str | Path") -> PosetDocument:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise DocumentError(f"{path}: nested too deeply") from exc
     return document_from_dict(data)
 
 
@@ -94,6 +96,8 @@ def parse_subset(doc: PosetDocument, token: str) -> SubsetMask:
             names = json.loads(token)
         except json.JSONDecodeError as exc:
             raise DocumentError(f"bad subset array: {exc.msg}") from exc
+        except RecursionError as exc:
+            raise DocumentError("bad subset array: nested too deeply") from exc
         if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
             raise DocumentError("subset array must contain element names")
         return X.mask(names)
@@ -118,9 +122,9 @@ def parse_partition(X: FinitePoset, token: str, k: int) -> KPartition:
     return KPartition(X.space_id, k, colors)
 
 
-def poset_to_dot(X: FinitePoset, name: str = "hasse") -> str:
+def poset_to_dot(X: FinitePoset) -> str:
     """Hasse diagram; edges point from cover-lower to cover-upper."""
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    lines = ["digraph hasse {", "  rankdir=BT;"]
     for lab in X.labels:
         lines.append(f'  "{lab}";')
     for i, j in X.hasse_edges():
@@ -129,8 +133,8 @@ def poset_to_dot(X: FinitePoset, name: str = "hasse") -> str:
     return "\n".join(lines) + "\n"
 
 
-def degrees_to_dot(X: FinitePoset, D: "DegreeStructure | SubsetQuotient", name: str = "degrees") -> str:
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+def degrees_to_dot(X: FinitePoset, D: "DegreeStructure | SubsetQuotient") -> str:
+    lines = ["digraph degrees {", "  rankdir=BT;"]
     for ci, (rep, size) in enumerate(zip(D.class_reps, D.class_sizes)):
         lines.append(f'  d{ci} [label="{render_item(X, rep)} (x{size})"];')
     for i, j in D.hasse:

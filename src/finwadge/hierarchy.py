@@ -348,30 +348,27 @@ def find_difference_representation(X: FinitePoset, A: SubsetMask, n: int) -> Opt
 def oracle_level(
     X: FinitePoset,
     A: SubsetMask,
-    n_max: Optional[int] = None,
     cap: Optional[int] = ORACLE_DEFAULT_CAP,
 ) -> DiffLevel:
     """Level of A by exhaustive search over increasing open sequences.
 
     Ground truth for ``classify``: membership of A and of its complement
-    in each sigma level up to n_max is decided straight from the
+    in each sigma level up to |X| is decided straight from the
     definition.  Alternating chains bound both ranks by the element
-    count, so the default n_max = |X| always suffices.
+    count, so no longer sequence is needed.
     """
     X.check_mask(A)
     if cap is not None and X.n > cap:
         raise CapExceeded(f"|X| = {X.n} exceeds the oracle cap {cap}")
-    if n_max is None:
-        n_max = X.n
-    sigma = _least_level(X, A, n_max)
-    pi = _least_level(X, A.complement(), n_max)
+    sigma = _least_level(X, A)
+    pi = _least_level(X, A.complement())
     if sigma is None or pi is None:
-        raise FinWadgeError(f"no difference representation of length <= {n_max} found")
+        raise FinWadgeError(f"no difference representation of length <= {X.n} found")
     return DiffLevel(sigma, pi)
 
 
-def _least_level(X: FinitePoset, A: SubsetMask, n_max: int) -> Optional[int]:
-    for n in range(n_max + 1):
+def _least_level(X: FinitePoset, A: SubsetMask) -> Optional[int]:
+    for n in range(X.n + 1):
         if find_difference_representation(X, A, n) is not None:
             return n
     return None

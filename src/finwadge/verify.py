@@ -23,10 +23,13 @@ MAX_ENUM_SIZE = 5
 @dataclass
 class VerifyResult:
     suite: str
-    passed: bool
     checked: int
     lines: list[str] = field(default_factory=list)
     findings: list[str] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return not self.findings
 
 
 def _describe(P: FinitePoset) -> str:
@@ -55,7 +58,7 @@ def _enumerate_checked(result: VerifyResult, size: int) -> list[FinitePoset]:
 
 def suite_finite_t0_very_good(max_size: int) -> VerifyResult:
     """All-subsets Wadge structure has antichains <= 2 and no SLO violations."""
-    result = VerifyResult("finite-t0-very-good", True, 0)
+    result = VerifyResult("finite-t0-very-good", 0)
     for size in _sizes(max_size):
         for P in _enumerate_checked(result, size):
             D = subset_quotient(P)
@@ -68,13 +71,12 @@ def suite_finite_t0_very_good(max_size: int) -> VerifyResult:
                 ri = P.members(D.class_reps[i])
                 rj = P.members(D.class_reps[j])
                 result.findings.append(f"SLO violation on {_describe(P)}: {ri} vs {rj}")
-    result.passed = not result.findings
     return result
 
 
 def suite_classify_oracle(max_size: int) -> VerifyResult:
     """classify agrees with the definitional brute-force oracle."""
-    result = VerifyResult("classify-oracle", True, 0)
+    result = VerifyResult("classify-oracle", 0)
     for size in _sizes(max_size):
         for P in _enumerate_checked(result, size):
             for A in all_subsets(P):
@@ -86,7 +88,6 @@ def suite_classify_oracle(max_size: int) -> VerifyResult:
                         f"mismatch on {_describe(P)} subset {P.members(A)}: "
                         f"classify={got.label} oracle={want.label}"
                     )
-    result.passed = not result.findings
     return result
 
 
@@ -97,7 +98,7 @@ def suite_duality(max_size: int) -> VerifyResult:
     census of its type, so ``classify`` runs only in the level check,
     which tests ``classify`` itself.
     """
-    result = VerifyResult("duality", True, 0)
+    result = VerifyResult("duality", 0)
     wadge = ReducibilityKind.WADGE
     for size in _sizes(max_size):
         for P in _enumerate_checked(result, size):
@@ -128,7 +129,6 @@ def suite_duality(max_size: int) -> VerifyResult:
                             f"witness does not dualize on {_describe(P)}: "
                             f"{P.members(A)} -> {P.members(B)}"
                         )
-    result.passed = not result.findings
     return result
 
 
@@ -172,11 +172,11 @@ def level_degree_findings(P: FinitePoset) -> list[str]:
         if degrees[lab] > 1:
             findings.append(f"{_describe(P)}: label {lab} splits into {degrees[lab]} degrees")
     strict = set(D.strict_order)
-    for kind in ("ProperSigma", "ProperPi"):
-        ranked = sorted((lv.level, ci) for ci, lv in enumerate(levels) if lv.label.startswith(kind))
+    for kind, name in (("sigma", "ProperSigma"), ("pi", "ProperPi")):
+        ranked = sorted((lv.level, ci) for ci, lv in enumerate(levels) if lv.kind == kind)
         for (m, ci), (n_, cj) in zip(ranked, ranked[1:]):
             if m < n_ and (ci, cj) not in strict:
                 findings.append(
-                    f"{_describe(P)}: {kind}({m}) does not sit strictly below {kind}({n_})"
+                    f"{_describe(P)}: {name}({m}) does not sit strictly below {name}({n_})"
                 )
     return findings

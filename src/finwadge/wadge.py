@@ -345,11 +345,11 @@ class DegreeStructure:
     """Quotient of a family of items under mutual reducibility.
 
     ``classes`` partitions item indices into equivalence classes whose
-    canonical representative is the first member in item order;
-    ``strict_order`` and ``hasse`` relate class indices.  SLO violations
-    are ordered class pairs (i, j) with neither rep(i) <= rep(j) nor
-    complement(rep(j)) <= rep(i); they are only meaningful for subset
-    items and stay empty for partitions.  ``class_reps`` and
+    canonical representative is the first member in item order
+    (``representatives``); ``strict_order`` and ``hasse`` relate class
+    indices.  SLO violations are ordered class pairs (i, j) with neither
+    rep(i) <= rep(j) nor complement(rep(j)) <= rep(i); they are only
+    meaningful for subset items and stay empty for partitions.  ``class_reps`` and
     ``class_sizes`` are the shape that reports read, shared with
     ``SubsetQuotient``.
     """
@@ -357,7 +357,6 @@ class DegreeStructure:
     items: tuple[Item, ...]
     kind: ReducibilityKind
     classes: tuple[tuple[int, ...], ...]
-    representatives: tuple[int, ...]
     strict_order: tuple[tuple[int, int], ...]
     hasse: tuple[tuple[int, int], ...]
     diagnostics: Diagnostics
@@ -369,6 +368,10 @@ class DegreeStructure:
     @property
     def item_count(self) -> int:
         return len(self.items)
+
+    @property
+    def representatives(self) -> tuple[int, ...]:
+        return tuple(c[0] for c in self.classes)
 
     @property
     def class_reps(self) -> tuple[Item, ...]:
@@ -427,7 +430,7 @@ def degree_structure(
     """Quotient order of the items under the chosen reducibility.
 
     Each item gets one level signature (``_signatures``), and
-    ``_classes`` groups the items by it.
+    ``_quotient`` groups the items by it.
 
     Subsets under WADGE need no search outside equal Delta levels: for
     subsets A, B of a finite poset, B reduces to A iff level_leq(B, A),
@@ -462,18 +465,8 @@ def degree_structure(
             X.check_mask(item)
         else:
             _check_partitions(X, item, items[0])
-    sigs = _signatures(X, kind, items)
-    reps, classes, rows = _classes(X, kind, items, sigs)
-    strict, hasse, diag = _quotient_order(X, kind, [items[r] for r in reps], [sigs[r] for r in reps], rows)
-    return DegreeStructure(
-        items=items,
-        kind=kind,
-        classes=tuple(tuple(c) for c in classes),
-        representatives=tuple(reps),
-        strict_order=strict,
-        hasse=hasse,
-        diagnostics=diag,
-    )
+    classes, strict, hasse, diagnostics = _quotient(X, kind, items, _signatures(X, kind, items))
+    return DegreeStructure(items, kind, classes, strict, hasse, diagnostics)
 
 
 CENSUS_MAX_SIZE = 24
@@ -489,7 +482,7 @@ def subset_quotient(X: FinitePoset, cap: Optional[int] = None) -> SubsetQuotient
     member in ``all_subsets`` order, found with ANDs (``_first_members``),
     stands for the whole level, whose size is the popcount of its int.
     These items and the members of the levels that may split go in
-    ``all_subsets`` order through the grouping and the order pass of
+    ``all_subsets`` order through ``_quotient``, as in
     ``degree_structure``.
 
     The census holds ints of 2^n bits, a few dozen at a time, so memory
@@ -506,19 +499,10 @@ def subset_quotient(X: FinitePoset, cap: Optional[int] = None) -> SubsetQuotient
     found.sort(key=lambda pair: _subset_order(pair[0]))
     items = [X.mask_from_int(v) for v, _ in found]
     sigs = [(level,) for _, level in found]
-    reps, classes, rows = _classes(X, ReducibilityKind.WADGE, items, sigs)
-    levels = tuple(sigs[r][0] for r in reps)
+    classes, strict, hasse, diagnostics = _quotient(X, ReducibilityKind.WADGE, items, sigs)
+    levels = tuple(sigs[c[0]][0] for c in classes)
     sizes = tuple(len(c) if _may_split(lv) else census[lv].bit_count() for lv, c in zip(levels, classes))
-    rep_items = [items[r] for r in reps]
-    strict, hasse, diag = _quotient_order(X, ReducibilityKind.WADGE, rep_items, [sigs[r] for r in reps], rows)
-    return SubsetQuotient(
-        class_reps=tuple(rep_items),
-        class_sizes=sizes,
-        class_levels=levels,
-        strict_order=strict,
-        hasse=hasse,
-        diagnostics=diag,
-    )
+    return SubsetQuotient(tuple(items[c[0]] for c in classes), sizes, levels, strict, hasse, diagnostics)
 
 
 def _first_members(n: int, indicators: Sequence[int]) -> list[int]:
@@ -581,80 +565,73 @@ def _may_split(level: DiffLevel) -> bool:
     return level.sigma_rank == level.pi_rank >= 2
 
 
-def _classes(
+def _quotient(
     X: FinitePoset, kind: ReducibilityKind, items: Sequence[Item], sigs: Sequence[tuple]
-) -> tuple[list[int], list[list[int]], list[int]]:
-    """Classes of mutual reducibility among the items, in item order.
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], Diagnostics]:
+    """Classes of mutual reducibility among the items, their order and its diagnostics.
 
-    Mutual WADGE reducibility implies equal signatures, so an item looks
-    for its home class only among representatives with an equal one, and
-    the first of them it is equivalent to takes it in.  Only an item that
-    opens a new class is related to every representative.  Returns the
-    representatives' item indices, each class's item indices, and the
-    order rows: bit j of rows[i] is set iff class i reduces to class j.
+    sigs[i] is the level signature of items[i] (``_signatures``).  Mutual
+    WADGE reducibility implies equal signatures, so an item looks for its
+    home class only among classes with an equal one, and the first whose
+    representative it is equivalent to takes it in.  Only an item that
+    opens a new class is related to every representative: bit j of
+    rows[i] is set iff class i reduces to class j.  Each class lists its
+    item indices in item order, so its first member is its representative.
+
+    The rows must form a partial order on the class indices; they are
+    validated and reduced as a ``FinitePoset``, whose int rows the strict
+    order, the Hasse diagram (sorted by the representatives' keys), the
+    SLO test and the width all read.  The SLO test asks whether the
+    complement of rep(j), built once per class, reduces to rep(i); the
+    complement's signature is rep(j)'s with the two ranks swapped.
+    Partitions have no complement and report no SLO violation.  The
+    largest antichain of the quotient is its width (``_width``).
     """
-    reps: list[int] = []
     classes: list[list[int]] = []
     by_signature: dict[tuple, list[int]] = {}
     rows: list[int] = []
-    for idx, item in enumerate(items):
-        sig = sigs[idx]
+    for idx, (item, sig) in enumerate(zip(items, sigs)):
         peers = by_signature.setdefault(sig, [])
         for home in peers:
-            peer = items[reps[home]]
+            peer = items[classes[home][0]]
             if _below(X, kind, item, sig, peer, sig) and _below(X, kind, peer, sig, item, sig):
                 break
         else:
-            home = len(reps)
+            home = len(classes)
             row = 1 << home
-            for cj, rep in enumerate(reps):
+            for cj, members in enumerate(classes):
+                rep = members[0]
                 if _below(X, kind, item, sig, items[rep], sigs[rep]):
                     row |= 1 << cj
                 if _below(X, kind, items[rep], sigs[rep], item, sig):
                     rows[cj] |= 1 << home
             rows.append(row)
-            reps.append(idx)
             classes.append([])
             peers.append(home)
         classes[home].append(idx)
-    return reps, classes, rows
-
-
-def _quotient_order(
-    X: FinitePoset, kind: ReducibilityKind, reps: Sequence[Item], sigs: Sequence[tuple], rows: Sequence[int]
-) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], Diagnostics]:
-    """Strict order, Hasse diagram and diagnostics of the classes' order rows.
-
-    Class i has the representative reps[i] and the level signature
-    sigs[i].  The rows must form a partial order on the class indices;
-    they are validated and reduced as a ``FinitePoset``, whose int rows
-    the strict order, the Hasse diagram (sorted by the representatives'
-    keys), the SLO test and the width all read.  The SLO test asks
-    whether the complement of rep(j), built once per class, reduces to
-    rep(i); the complement's signature is rep(j)'s with the two ranks
-    swapped.  Partitions have no complement and report no SLO violation.
-    The largest antichain of the quotient is its width (``_width``).
-    """
     k = len(rows)
     # the relation must be a partial order; validation raises if it is not
     order = FinitePoset(tuple(map(str, range(k))), tuple(rows))
     up = order._up_int
     strict = tuple((i, j) for i, above in enumerate(order._strict_above) for j in above)
+    reps = [items[c[0]] for c in classes]
     keys = [_item_key(rep) for rep in reps]
     hasse = tuple(sorted(order.hasse_edges(), key=lambda e: (keys[e[0]], keys[e[1]])))
     slo = ()
     if reps and isinstance(reps[0], SubsetMask):
+        rep_sigs = [sigs[c[0]] for c in classes]
         duals = [
             (rep.complement(), tuple(lv.complement() for lv in sig))
-            for rep, sig in zip(reps, sigs)
+            for rep, sig in zip(reps, rep_sigs)
         ]
         slo = tuple(
             (i, j)
             for i in range(k)
             for j, (comp, dual) in enumerate(duals)
-            if not up[i] >> j & 1 and not _below(X, kind, comp, dual, reps[i], sigs[i])
+            if not up[i] >> j & 1 and not _below(X, kind, comp, dual, reps[i], rep_sigs[i])
         )
-    return strict, hasse, Diagnostics(max_antichain=_width(up), slo_violations=slo)
+    diagnostics = Diagnostics(max_antichain=_width(up), slo_violations=slo)
+    return tuple(map(tuple, classes)), strict, hasse, diagnostics
 
 
 def _item_key(item: Item):

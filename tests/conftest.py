@@ -418,7 +418,6 @@ def reference_degree_structure(P: FinitePoset, items, kind=ReducibilityKind.WADG
         items=items,
         kind=kind,
         classes=tuple(tuple(c) for c in classes),
-        representatives=tuple(reps),
         strict_order=tuple(strict),
         hasse=tuple(hasse),
         diagnostics=Diagnostics(

@@ -262,7 +262,7 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
     from finwadge.verify import VerifyResult
 
     def fake(name, max_size):
-        return VerifyResult(name, False, 1, findings=["synthetic violation"])
+        return VerifyResult(name, 1, findings=["synthetic violation"])
 
     monkeypatch.setattr("finwadge.cli.run_suite", fake)
     code, out = run(capsys, "verify", "duality", "--max", "3")
@@ -313,3 +313,62 @@ def test_out_flag_writes_file(capsys, chain2_doc, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["label"] == "ProperSigma(1)"
+
+
+def run_failing(capsys, *argv):
+    """Exit code and stderr lines of a run that must print nothing to stdout."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err.splitlines()
+
+
+def test_directory_paths_exit_1(capsys, chain2_doc, tmp_path):
+    for argv in (
+        ("space", str(tmp_path)),
+        ("degrees", chain2_doc, "--all", "--out", str(tmp_path)),
+        ("degrees", chain2_doc, "--all", "--dot", str(tmp_path)),
+    ):
+        code = main(list(argv))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_deeply_nested_document_exits_1(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, err = run_failing(capsys, "space", str(path))
+    assert code == 1
+    assert err == [f"error: {path}: nested too deeply"]
+
+
+def test_deeply_nested_subset_token_exits_1(capsys, chain2_doc):
+    code, err = run_failing(capsys, "classify", chain2_doc, "[" * 100_000 + "]" * 100_000)
+    assert code == 1
+    assert err == ["error: bad subset array: nested too deeply"]
+
+
+def test_degrees_all_kind_any(capsys, chain2_doc):
+    # under arbitrary maps only the empty set, the whole space and the
+    # proper nonempty sets differ
+    code, out = run(capsys, "degrees", chain2_doc, "--all", "--kind", "any")
+    assert code == 0
+    report = json.loads(out)
+    assert report["kind"] == "any" and report["items"] == 4
+    assert [c["size"] for c in report["classes"]] == [1, 2, 1]
+
+
+def test_degrees_all_kind_any_beyond_the_default_cap_exits_2(capsys, tmp_path):
+    path = tmp_path / "c7.json"
+    save_document(PosetDocument(chain(7)), path)
+    code, err = run_failing(capsys, "degrees", str(path), "--all", "--kind", "any")
+    assert code == 2
+    assert err == ["error: |X| = 7 exceeds the all-subsets cap 6"]
+
+
+def test_degrees_and_partitions_without_items_exit_1(capsys, chain2_doc):
+    code, err = run_failing(capsys, "degrees", chain2_doc)
+    assert (code, err) == (1, ["error: give --all or at least one subset"])
+    code, err = run_failing(capsys, "partitions", chain2_doc, "-k", "2")
+    assert (code, err) == (1, ["error: give --constants or at least one partition"])
