@@ -32,7 +32,6 @@ from .wadge import (
     all_subsets,
     constant_partitions,
     degree_structure,
-    structure_label,
     subset_quotient,
     wadge_reduces,
 )
@@ -41,21 +40,26 @@ SPACE_OPENS_CAP = 16
 DEGREES_ALL_CAP = 6
 
 
-def _emit(payload, out: "str | None") -> None:
+def _emit(args, payload, dot=None) -> int:
+    """Write the DOT file, then the JSON report to ``--out`` or stdout.
+
+    ``dot`` renders the DOT text and is called only when ``--dot`` is
+    given.  Every file is written before stdout, so a path that cannot be
+    written leaves stdout empty.
+    """
+    if dot is not None and args.dot:
+        Path(args.dot).write_text(dot(), encoding="utf-8")
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-
-
-def _write_dot(text: str, path: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
+    return 0
 
 
 def cmd_space(args) -> int:
     doc = load_document(args.document)
-    X = doc.poset
+    X = doc.space
     cap = args.cap if args.cap is not None else SPACE_OPENS_CAP
     rank = X.derivative_trace().scattered_rank
     report = {
@@ -64,15 +68,12 @@ def cmd_space(args) -> int:
         "scattered_rank": rank,
         "open_sets": sum(1 for _ in X.enumerate_opens()) if X.n <= cap else "capped",
     }
-    _emit(report, args.out)
-    if args.dot:
-        _write_dot(poset_to_dot(X), args.dot)
-    return 0
+    return _emit(args, report, lambda: poset_to_dot(X))
 
 
 def cmd_classify(args) -> int:
     doc = load_document(args.document)
-    X = doc.poset
+    X = doc.space
     A = parse_subset(doc, args.subset)
     chain_in = longest_alternating_chain(X, A, True)
     chain_out = longest_alternating_chain(X, A, False)
@@ -89,13 +90,12 @@ def cmd_classify(args) -> int:
         other = oracle_level(X, A, cap=cap)
         report["oracle_label"] = other.label
         report["oracle_agrees"] = other == level
-    _emit(report, args.out)
-    return 0
+    return _emit(args, report)
 
 
 def cmd_reduce(args) -> int:
     doc = load_document(args.document)
-    X = doc.poset
+    X = doc.space
     A = parse_subset(doc, args.source)
     B = parse_subset(doc, args.target)
     witness = wadge_reduces(X, A, B, ReducibilityKind(args.kind))
@@ -109,7 +109,7 @@ def cmd_reduce(args) -> int:
 
 def _degrees_report(X, D):
     """The JSON report of a quotient: a representative and a size per class."""
-    label = structure_label(D)
+    diag = D.diagnostics
     # "has_infinite_descending" and "finite_wqo" are constants of a finite
     # structure, kept because perfbench/goldens.json pins this stdout
     return {
@@ -122,14 +122,14 @@ def _degrees_report(X, D):
         "strict_order": [[i, j] for i, j in D.strict_order],
         "hasse": [[i, j] for i, j in D.hasse],
         "diagnostics": {
-            "max_antichain": D.diagnostics.max_antichain,
-            "slo_violations": [[i, j] for i, j in D.diagnostics.slo_violations],
+            "max_antichain": diag.max_antichain,
+            "slo_violations": [[i, j] for i, j in diag.slo_violations],
             "has_infinite_descending": False,
         },
         "report": {
-            "finitely_very_good": label.finitely_very_good,
-            "max_antichain": label.max_antichain,
-            "slo_violation_count": label.slo_violation_count,
+            "finitely_very_good": diag.finitely_very_good,
+            "max_antichain": diag.max_antichain,
+            "slo_violation_count": diag.slo_violation_count,
             "finite_wqo": True,
         },
     }
@@ -137,7 +137,7 @@ def _degrees_report(X, D):
 
 def cmd_degrees(args) -> int:
     doc = load_document(args.document)
-    X = doc.poset
+    X = doc.space
     kind = ReducibilityKind(args.kind)
     if args.all:
         cap = args.cap if args.cap is not None else DEGREES_ALL_CAP
@@ -149,15 +149,12 @@ def cmd_degrees(args) -> int:
         D = degree_structure(X, [parse_subset(doc, token) for token in args.subsets], kind)
     else:
         raise FinWadgeError("give --all or at least one subset")
-    _emit(_degrees_report(X, D), args.out)
-    if args.dot:
-        _write_dot(degrees_to_dot(X, D), args.dot)
-    return 0
+    return _emit(args, _degrees_report(X, D), lambda: degrees_to_dot(X, D))
 
 
 def cmd_partitions(args) -> int:
     doc = load_document(args.document)
-    X = doc.poset
+    X = doc.space
     if args.constants:
         items = constant_partitions(X, args.k)
     elif args.partitions:
@@ -165,35 +162,29 @@ def cmd_partitions(args) -> int:
     else:
         raise FinWadgeError("give --constants or at least one partition")
     D = degree_structure(X, items, ReducibilityKind(args.kind))
-    _emit(_degrees_report(X, D), args.out)
-    if args.dot:
-        _write_dot(degrees_to_dot(X, D), args.dot)
-    return 0
+    return _emit(args, _degrees_report(X, D), lambda: degrees_to_dot(X, D))
 
 
 def cmd_gallery(args) -> int:
     name = args.name
     params = args.params
     builders = {
-        "chain": lambda N: PosetDocument(gallery.chain(N)),
-        "antichain": lambda N: PosetDocument(gallery.antichain(N)),
-        "cinf": lambda N: PosetDocument(gallery.truncated_c_infinity(N)),
-        "expected-structure": lambda N: PosetDocument(gallery.expected_structure(N)),
-        "fan": _fan_document,
+        "chain": gallery.chain,
+        "antichain": gallery.antichain,
+        "cinf": gallery.truncated_c_infinity,
+        "expected-structure": gallery.expected_structure,
+        "fan": gallery.fan,
     }
     if name not in builders:
         raise FinWadgeError(f"unknown gallery space {name!r}; choose from {', '.join(sorted(builders))}")
     if len(params) != 1:
         raise FinWadgeError(f"gallery {name} takes 1 integer parameter(s)")
     doc = builders[name](params[0])
+    if not isinstance(doc, PosetDocument):
+        doc = PosetDocument(doc)
     save_document(doc, args.out)
     sys.stdout.write(f"wrote {args.out}\n")
     return 0
-
-
-def _fan_document(N: int) -> PosetDocument:
-    built = gallery.fan(N)
-    return PosetDocument(built.space, dict(built.sets))
 
 
 def cmd_verify(args) -> int:

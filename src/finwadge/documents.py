@@ -18,9 +18,11 @@ from .poset import FinitePoset, SubsetMask, build_poset
 from .wadge import DegreeStructure, KPartition, SubsetQuotient
 
 
-@dataclass
+@dataclass(frozen=True)
 class PosetDocument:
-    poset: FinitePoset
+    """A space with named subsets: what a document file holds."""
+
+    space: FinitePoset
     sets: dict[str, SubsetMask] = field(default_factory=dict)
 
 
@@ -50,7 +52,7 @@ def document_from_dict(data: dict) -> PosetDocument:
         raise DocumentError("field 'sets' must be an object")
     for name in sorted(raw_sets):
         names = raw_sets[name]
-        if not isinstance(names, list):
+        if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
             raise DocumentError(f"sets[{name!r}] must be an array of element names")
         try:
             sets[name] = poset.mask(names)
@@ -71,7 +73,7 @@ def load_document(path: "str | Path") -> PosetDocument:
 
 
 def document_to_dict(doc: PosetDocument) -> dict:
-    X = doc.poset
+    X = doc.space
     out = {
         "elements": list(X.labels),
         "covers": [[X.labels[i], X.labels[j]] for i, j in X.hasse_edges()],
@@ -87,7 +89,7 @@ def save_document(doc: PosetDocument, path: "str | Path") -> None:
 
 def parse_subset(doc: PosetDocument, token: str) -> SubsetMask:
     """Subset from a CLI token: JSON array, 0/1 string, or named set."""
-    X = doc.poset
+    X = doc.space
     token = token.strip()
     if token in doc.sets:
         return doc.sets[token]

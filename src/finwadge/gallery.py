@@ -10,9 +10,8 @@ infinite space should be inferred from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .poset import FinitePoset, SubsetMask, _members, build_poset
+from .documents import PosetDocument
+from .poset import FinitePoset, _members, build_poset
 
 
 def chain(n: int) -> FinitePoset:
@@ -66,15 +65,7 @@ def truncated_c_infinity(N: int) -> FinitePoset:
     return build_poset(labels, covers)
 
 
-@dataclass(frozen=True)
-class FanSpace:
-    """A fan truncation plus its named subsets D0..DN, A, B."""
-
-    space: FinitePoset
-    sets: dict[str, SubsetMask]
-
-
-def fan(N: int) -> FanSpace:
+def fan(N: int) -> PosetDocument:
     """Finger chains C_0..C_N between a bottom and a top element.
 
     C_n is the chain c{n}_{n} < ... < c{n}_{0}; distinct chains are
@@ -96,24 +87,22 @@ def fan(N: int) -> FanSpace:
             covers.append((members[k + 1], members[k]))
     X = build_poset(labels, covers)
 
-    def above(name: str) -> set[str]:
-        i = X.index(name)
-        return {X.labels[j] for j in X.up_set(i).indices()}
+    def above(n: int, k: int) -> int:
+        return X._up_int[X.index(f"c{n}_{k}")]
 
-    d_sets: list[set[str]] = [set()]
-    d_sets[0] = set().union(*(above(f"c{n}_0") for n in range(N + 1)))
+    d_sets = [0]
+    for n in range(N + 1):
+        d_sets[0] |= above(n, 0)
     for i in range(N):
-        grow = set(d_sets[i])
+        grow = d_sets[i]
         for n in range(i + 1, N + 1):
-            grow |= above(f"c{n}_{i + 1}")
+            grow |= above(n, i + 1)
         d_sets.append(grow)
-    a_set = set(d_sets[0])
-    k = 0
-    while 2 * k + 2 <= N:
-        a_set |= d_sets[2 * k + 2] - d_sets[2 * k + 1]
-        k += 1
-    b_set = a_set - {"top"}
-    named = {f"D{i}": X.mask(sorted(s)) for i, s in enumerate(d_sets)}
-    named["A"] = X.mask(sorted(a_set))
-    named["B"] = X.mask(sorted(b_set))
-    return FanSpace(X, named)
+    a_set = d_sets[0]
+    for k in range(N // 2):
+        a_set |= d_sets[2 * k + 2] & ~d_sets[2 * k + 1]
+    b_set = a_set & ~(1 << X.index("top"))
+    named = {f"D{i}": X.mask_from_int(d) for i, d in enumerate(d_sets)}
+    named["A"] = X.mask_from_int(a_set)
+    named["B"] = X.mask_from_int(b_set)
+    return PosetDocument(X, named)

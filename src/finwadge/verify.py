@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .enumeration import POSET_COUNTS, all_posets
 from .errors import CapExceeded
@@ -37,57 +37,55 @@ def _describe(P: FinitePoset) -> str:
     return f"n={P.n} covers=[{' '.join(edges)}]"
 
 
-def _sizes(max_size: int) -> range:
+def _types(result: VerifyResult, max_size: int) -> Iterator[FinitePoset]:
+    """Every poset type of size 1..max_size, one size at a time.
+
+    Before a size's types are yielded, its count is checked against
+    ``POSET_COUNTS`` and its line is added to the result.
+    """
     if max_size > MAX_ENUM_SIZE:
         raise CapExceeded(f"exhaustive enumeration is capped at {MAX_ENUM_SIZE} elements")
     if max_size < 1:
         raise ValueError("size bound must be at least 1")
-    return range(1, max_size + 1)
-
-
-def _enumerate_checked(result: VerifyResult, size: int) -> list[FinitePoset]:
-    posets = all_posets(size)
-    expected = POSET_COUNTS[size]
-    if len(posets) != expected:
-        result.findings.append(
-            f"enumeration self-test failed at n={size}: got {len(posets)}, expected {expected}"
-        )
-    result.lines.append(f"n={size}: {len(posets)} poset types")
-    return posets
+    for size in range(1, max_size + 1):
+        posets = all_posets(size)
+        expected = POSET_COUNTS[size]
+        if len(posets) != expected:
+            result.findings.append(
+                f"enumeration self-test failed at n={size}: got {len(posets)}, expected {expected}"
+            )
+        result.lines.append(f"n={size}: {len(posets)} poset types")
+        yield from posets
 
 
 def suite_finite_t0_very_good(max_size: int) -> VerifyResult:
     """All-subsets Wadge structure has antichains <= 2 and no SLO violations."""
     result = VerifyResult("finite-t0-very-good", 0)
-    for size in _sizes(max_size):
-        for P in _enumerate_checked(result, size):
-            D = subset_quotient(P)
-            result.checked += 1
-            if D.diagnostics.max_antichain > 2:
-                result.findings.append(
-                    f"antichain {D.diagnostics.max_antichain} > 2 on {_describe(P)}"
-                )
-            for i, j in D.diagnostics.slo_violations:
-                ri = P.members(D.class_reps[i])
-                rj = P.members(D.class_reps[j])
-                result.findings.append(f"SLO violation on {_describe(P)}: {ri} vs {rj}")
+    for P in _types(result, max_size):
+        D = subset_quotient(P)
+        result.checked += 1
+        if D.diagnostics.max_antichain > 2:
+            result.findings.append(f"antichain {D.diagnostics.max_antichain} > 2 on {_describe(P)}")
+        for i, j in D.diagnostics.slo_violations:
+            ri = P.members(D.class_reps[i])
+            rj = P.members(D.class_reps[j])
+            result.findings.append(f"SLO violation on {_describe(P)}: {ri} vs {rj}")
     return result
 
 
 def suite_classify_oracle(max_size: int) -> VerifyResult:
     """classify agrees with the definitional brute-force oracle."""
     result = VerifyResult("classify-oracle", 0)
-    for size in _sizes(max_size):
-        for P in _enumerate_checked(result, size):
-            for A in all_subsets(P):
-                got = classify(P, A)
-                want = oracle_level(P, A)
-                result.checked += 1
-                if got != want:
-                    result.findings.append(
-                        f"mismatch on {_describe(P)} subset {P.members(A)}: "
-                        f"classify={got.label} oracle={want.label}"
-                    )
+    for P in _types(result, max_size):
+        for A in all_subsets(P):
+            got = classify(P, A)
+            want = oracle_level(P, A)
+            result.checked += 1
+            if got != want:
+                result.findings.append(
+                    f"mismatch on {_describe(P)} subset {P.members(A)}: "
+                    f"classify={got.label} oracle={want.label}"
+                )
     return result
 
 
@@ -100,35 +98,32 @@ def suite_duality(max_size: int) -> VerifyResult:
     """
     result = VerifyResult("duality", 0)
     wadge = ReducibilityKind.WADGE
-    for size in _sizes(max_size):
-        for P in _enumerate_checked(result, size):
-            subsets = all_subsets(P)
-            levels = _level_table(P)
-            for A in subsets:
-                lv = classify(P, A)
-                lv_c = classify(P, A.complement())
+    for P in _types(result, max_size):
+        subsets = all_subsets(P)
+        levels = _level_table(P)
+        for A in subsets:
+            lv = classify(P, A)
+            lv_c = classify(P, A.complement())
+            result.checked += 1
+            if lv_c != lv.complement():
+                result.findings.append(f"level duality fails on {_describe(P)} subset {P.members(A)}")
+        for A in subsets:
+            A_c = A.complement()
+            for B in subsets:
+                B_c = B.complement()
+                f = _reduction(P, wadge, A, B, (levels[A.value],), (levels[B.value],))
                 result.checked += 1
-                if lv_c != lv.complement():
-                    result.findings.append(
-                        f"level duality fails on {_describe(P)} subset {P.members(A)}"
-                    )
-            for A in subsets:
-                A_c = A.complement()
-                for B in subsets:
-                    B_c = B.complement()
-                    f = _reduction(P, wadge, A, B, (levels[A.value],), (levels[B.value],))
-                    result.checked += 1
-                    if f is None:
-                        if _reduction(P, wadge, A_c, B_c, (levels[A_c.value],), (levels[B_c.value],)) is not None:
-                            result.findings.append(
-                                f"reduction duality fails on {_describe(P)}: "
-                                f"{P.members(A)} vs {P.members(B)}"
-                            )
-                    elif f.preimage(B_c) != A_c:
+                if f is None:
+                    if _reduction(P, wadge, A_c, B_c, (levels[A_c.value],), (levels[B_c.value],)) is not None:
                         result.findings.append(
-                            f"witness does not dualize on {_describe(P)}: "
-                            f"{P.members(A)} -> {P.members(B)}"
+                            f"reduction duality fails on {_describe(P)}: "
+                            f"{P.members(A)} vs {P.members(B)}"
                         )
+                elif f.preimage(B_c) != A_c:
+                    result.findings.append(
+                        f"witness does not dualize on {_describe(P)}: "
+                        f"{P.members(A)} -> {P.members(B)}"
+                    )
     return result
 
 

@@ -683,10 +683,6 @@ def _width(up: Sequence[int]) -> int:
     return free.bit_count()
 
 
-def structure_label(D: "DegreeStructure | SubsetQuotient") -> Diagnostics:
-    return D.diagnostics
-
-
 def is_retraction(X: FinitePoset, Y: SubsetMask, r: MonotoneMap) -> bool:
     """True iff r is monotone, maps into Y, and fixes Y pointwise."""
     X.check_mask(Y)

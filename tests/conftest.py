@@ -427,6 +427,30 @@ def reference_degree_structure(P: FinitePoset, items, kind=ReducibilityKind.WADG
     )
 
 
+def reference_fan_sets(X: FinitePoset, N: int) -> dict[str, SubsetMask]:
+    """The named sets D0..DN, A, B of the fan truncation X, built as label sets."""
+
+    def above(name: str) -> set[str]:
+        i = X.index(name)
+        return {X.labels[j] for j in X.up_set(i).indices()}
+
+    d_sets: list[set[str]] = [set().union(*(above(f"c{n}_0") for n in range(N + 1)))]
+    for i in range(N):
+        grow = set(d_sets[i])
+        for n in range(i + 1, N + 1):
+            grow |= above(f"c{n}_{i + 1}")
+        d_sets.append(grow)
+    a_set = set(d_sets[0])
+    k = 0
+    while 2 * k + 2 <= N:
+        a_set |= d_sets[2 * k + 2] - d_sets[2 * k + 1]
+        k += 1
+    named = {f"D{i}": X.mask(sorted(s)) for i, s in enumerate(d_sets)}
+    named["A"] = X.mask(sorted(a_set))
+    named["B"] = X.mask(sorted(a_set - {"top"}))
+    return named
+
+
 def reference_refined_colors(P: FinitePoset) -> tuple[int, ...]:
     """Colour refinement by n+1 full rounds over the cover matrix."""
     n = P.n

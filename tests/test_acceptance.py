@@ -26,7 +26,6 @@ from finwadge import (
     level_leq,
     oracle_level,
     poset_isomorphic,
-    structure_label,
     wadge_reduces,
 )
 from finwadge.enumeration import (
@@ -140,7 +139,7 @@ def test_criterion_6_constant_partition_antichain():
             D = degree_structure(space, parts)
             ok = ok and D.class_count == k and not D.strict_order
             ok = ok and D.diagnostics.max_antichain == k
-            ok = ok and not structure_label(D).finitely_very_good
+            ok = ok and not D.diagnostics.finitely_very_good
     _report(6, "constant 3- and 4-partitions are pairwise irreducible with antichain k",
             ok, t0, 1.0)
 

@@ -23,8 +23,7 @@ def chain2_doc(tmp_path):
 @pytest.fixture()
 def fan1_doc(tmp_path):
     path = tmp_path / "fan1.json"
-    built = fan(1)
-    save_document(PosetDocument(built.space, dict(built.sets)), path)
+    save_document(fan(1), path)
     return str(path)
 
 
@@ -164,7 +163,7 @@ def test_classify_large_space_stdout_is_pinned(capsys, tmp_path):
     """Levels and witness chains of the named fan(18) sets and three seeded 160-chain subsets."""
     built = fan(18)
     fan_path, chain_path = tmp_path / "fan18.json", tmp_path / "c160.json"
-    save_document(PosetDocument(built.space, dict(built.sets)), fan_path)
+    save_document(built, fan_path)
     save_document(PosetDocument(chain(160)), chain_path)
     rng = random.Random(160)
     argvs = [["classify", str(fan_path), name] for name in sorted(built.sets)]
@@ -326,13 +325,32 @@ def run_failing(capsys, *argv):
 def test_directory_paths_exit_1(capsys, chain2_doc, tmp_path):
     for argv in (
         ("space", str(tmp_path)),
+        ("space", chain2_doc, "--dot", str(tmp_path)),
         ("degrees", chain2_doc, "--all", "--out", str(tmp_path)),
         ("degrees", chain2_doc, "--all", "--dot", str(tmp_path)),
+        ("partitions", chain2_doc, "-k", "3", "--constants", "--dot", str(tmp_path)),
     ):
-        code = main(list(argv))
-        err = capsys.readouterr().err.splitlines()
+        code, err = run_failing(capsys, *argv)
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_files_are_written_before_stdout(capsys, chain2_doc, tmp_path):
+    report, dot, dot_alone = tmp_path / "report.json", tmp_path / "deg.dot", tmp_path / "alone.dot"
+    code, out = run(capsys, "degrees", chain2_doc, "--all", "--out", str(report), "--dot", str(dot))
+    assert (code, out) == (0, "")
+    code, out = run(capsys, "degrees", chain2_doc, "--all", "--dot", str(dot_alone))
+    assert code == 0
+    assert report.read_text() == out
+    assert dot.read_text() == dot_alone.read_text()
+    assert dot.read_text().startswith("digraph")
+
+
+def test_document_set_members_must_be_names(capsys, tmp_path):
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps({"elements": ["a", "b"], "covers": [["a", "b"]], "sets": {"A": [0, True]}}))
+    code, err = run_failing(capsys, "classify", str(path), "A")
+    assert (code, err) == (1, ["error: sets['A'] must be an array of element names"])
 
 
 def test_deeply_nested_document_exits_1(capsys, tmp_path):

@@ -22,17 +22,17 @@ def test_round_trip(tmp_path):
     path = tmp_path / "c3.json"
     save_document(doc, path)
     back = load_document(path)
-    assert back.poset.labels == doc.poset.labels
-    assert back.poset.leq == doc.poset.leq
+    assert back.space.labels == doc.space.labels
+    assert back.space.leq == doc.space.leq
     assert back.sets["tops"] == doc.sets["tops"]
 
 
 def test_fan_document_round_trip(tmp_path):
     built = fan(2)
     path = tmp_path / "fan2.json"
-    save_document(PosetDocument(built.space, dict(built.sets)), path)
+    save_document(built, path)
     back = load_document(path)
-    assert back.poset.leq == built.space.leq
+    assert back.space.leq == built.space.leq
     assert back.sets["A"] == built.sets["A"]
     assert sorted(back.sets) == ["A", "B", "D0", "D1", "D2"]
 
@@ -44,6 +44,14 @@ def test_document_field_errors():
         document_from_dict({"elements": ["a"], "covers": [["a"]]})
     with pytest.raises(DocumentError, match="sets"):
         document_from_dict({"elements": ["a"], "covers": [], "sets": {"s": "a"}})
+
+
+def test_set_members_must_be_names():
+    # ints and booleans are not read as element indices
+    for members in ([0, True], ["a", 1], [None]):
+        data = {"elements": ["a", "b"], "covers": [["a", "b"]], "sets": {"A": members}}
+        with pytest.raises(DocumentError, match=r"^sets\['A'\] must be an array of element names$"):
+            document_from_dict(data)
 
 
 def test_json_error_carries_location(tmp_path):
@@ -81,8 +89,7 @@ def test_dot_output_edges_point_upward():
 
 
 def test_document_dict_is_canonical():
-    built = fan(1)
-    d = document_to_dict(PosetDocument(built.space, dict(built.sets)))
+    d = document_to_dict(fan(1))
     # serializable and stable
     assert json.dumps(d, sort_keys=True) == json.dumps(json.loads(json.dumps(d)), sort_keys=True)
     assert d["elements"][0] == "bot"

@@ -13,6 +13,8 @@ from finwadge import (
     truncated_c_infinity,
 )
 
+from conftest import reference_fan_sets
+
 
 def test_chain_basics():
     assert chain(0).n == 0
@@ -143,6 +145,12 @@ def test_fan_invariants(N):
         assert X.is_open(D)
         if i:
             assert built.sets[f"D{i-1}"].is_subset(D)
+
+
+@pytest.mark.parametrize("N", range(9))
+def test_fan_sets_match_the_label_set_construction(N):
+    built = fan(N)
+    assert list(built.sets.items()) == list(reference_fan_sets(built.space, N).items())
 
 
 def test_fan_bottom_and_top_are_extremes():

@@ -241,7 +241,7 @@ def test_order_is_stored_once_as_int_rows(tmp_path):
     save_document(PosetDocument(fan(2).space, {}), path)
     spaces = [
         build_poset(["a", "b", "c"], [("a", "b"), ("a", "c")]),
-        load_document(path).poset,
+        load_document(path).space,
         chain(5),
         antichain(3),
         truncated_c_infinity(4),

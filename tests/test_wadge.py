@@ -28,7 +28,6 @@ from finwadge import (
     linear_sum,
     partition_reduces,
     poset_isomorphic,
-    structure_label,
     wadge_reduces,
 )
 from finwadge import verify, wadge
@@ -457,10 +456,10 @@ def test_all_functions_three_classes():
 
 def test_structure_label_fields(small_poset_zoo):
     L2 = small_poset_zoo["chain2"]
-    rep = structure_label(degree_structure(L2, all_subsets(L2)))
+    rep = degree_structure(L2, all_subsets(L2)).diagnostics
     assert rep.finitely_very_good
     parts = constant_partitions(L2, 3)
-    rep3 = structure_label(degree_structure(L2, parts))
+    rep3 = degree_structure(L2, parts).diagnostics
     assert rep3.max_antichain == 3
     assert not rep3.finitely_very_good
 
@@ -475,7 +474,7 @@ def test_partition_validation():
 def test_fan1_full_structure_recorded():
     # computed, not assumed: the N=1 truncation is finitely very good
     X = fan(1).space
-    rep = structure_label(degree_structure(X, all_subsets(X)))
+    rep = degree_structure(X, all_subsets(X)).diagnostics
     assert rep.finitely_very_good
     assert rep.max_antichain == 2
 
@@ -520,7 +519,7 @@ def test_six_element_measurement_is_pinned():
     split_types = 0
     for P in all_posets(6):
         D = degree_structure(P, all_subsets(P))
-        if not structure_label(D).finitely_very_good:
+        if not D.diagnostics.finitely_very_good:
             failing.append((P, D))
         split_types += bool(level_degree_findings(P))
     assert split_types == 107
