@@ -2,7 +2,9 @@
 
 Every command is deterministic: identical inputs give byte-identical
 outputs, and there is no randomness anywhere.  Exit codes: 0 success or
-suite pass, 1 input error, 2 cap exceeded, 3 property-suite failure.
+suite pass, 1 input error (a negative ``--cap`` too), 2 cap exceeded or a
+command line that argparse rejected, with its usage message on stderr (an
+unknown or missing command, a missing argument), 3 property-suite failure.
 """
 
 from __future__ import annotations
@@ -40,6 +42,13 @@ SPACE_OPENS_CAP = 16
 DEGREES_ALL_CAP = 6
 
 
+def _cap(value, default: int) -> int:
+    """The ``--cap`` value, or ``default`` when none is given."""
+    if value is not None and value < 0:
+        raise FinWadgeError(f"--cap must be at least 0, got {value}")
+    return default if value is None else value
+
+
 def _emit(args, payload, dot=None) -> int:
     """Write the DOT file, then the JSON report to ``--out`` or stdout.
 
@@ -60,7 +69,7 @@ def _emit(args, payload, dot=None) -> int:
 def cmd_space(args) -> int:
     doc = load_document(args.document)
     X = doc.space
-    cap = args.cap if args.cap is not None else SPACE_OPENS_CAP
+    cap = _cap(args.cap, SPACE_OPENS_CAP)
     rank = X.derivative_trace().scattered_rank
     report = {
         "elements": X.n,
@@ -86,8 +95,7 @@ def cmd_classify(args) -> int:
         "witness_chain_out": [X.labels[i] for i in chain_out.points],
     }
     if args.oracle:
-        cap = args.cap if args.cap is not None else ORACLE_DEFAULT_CAP
-        other = oracle_level(X, A, cap=cap)
+        other = oracle_level(X, A, cap=_cap(args.cap, ORACLE_DEFAULT_CAP))
         report["oracle_label"] = other.label
         report["oracle_agrees"] = other == level
     return _emit(args, report)
@@ -140,7 +148,7 @@ def cmd_degrees(args) -> int:
     X = doc.space
     kind = ReducibilityKind(args.kind)
     if args.all:
-        cap = args.cap if args.cap is not None else DEGREES_ALL_CAP
+        cap = _cap(args.cap, DEGREES_ALL_CAP)
         if kind is ReducibilityKind.WADGE:
             D = subset_quotient(X, cap=cap)  # the level census; no subset is built
         else:

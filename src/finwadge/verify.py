@@ -9,13 +9,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .enumeration import POSET_COUNTS, all_posets
 from .errors import CapExceeded
-from .hierarchy import DiffLevel, _set_bits, classify, oracle_level, subset_levels
+from .hierarchy import classify, oracle_level
 from .poset import FinitePoset
-from .wadge import ReducibilityKind, _reduction, all_subsets, subset_quotient
+from .wadge import ReducibilityKind, _reduction, _signatures, all_subsets, subset_quotient
 
 MAX_ENUM_SIZE = 5
 
@@ -92,15 +92,15 @@ def suite_classify_oracle(max_size: int) -> VerifyResult:
 def suite_duality(max_size: int) -> VerifyResult:
     """Complement symmetry of levels and of reductions (same witness).
 
-    The pair loop hands ``_reduction`` each subset's level from the level
-    census of its type, so ``classify`` runs only in the level check,
-    which tests ``classify`` itself.
+    The pair loop hands ``_reduction`` the signatures that ``_signatures``
+    gives every subset, as every other pair decision does, so ``classify``
+    is called here only in the level check, which tests ``classify`` itself.
     """
     result = VerifyResult("duality", 0)
     wadge = ReducibilityKind.WADGE
     for P in _types(result, max_size):
         subsets = all_subsets(P)
-        levels = _level_table(P)
+        sig = dict(zip((A.value for A in subsets), _signatures(P, wadge, subsets)))
         for A in subsets:
             lv = classify(P, A)
             lv_c = classify(P, A.complement())
@@ -111,10 +111,10 @@ def suite_duality(max_size: int) -> VerifyResult:
             A_c = A.complement()
             for B in subsets:
                 B_c = B.complement()
-                f = _reduction(P, wadge, A, B, (levels[A.value],), (levels[B.value],))
+                f = _reduction(P, wadge, A, B, sig[A.value], sig[B.value])
                 result.checked += 1
                 if f is None:
-                    if _reduction(P, wadge, A_c, B_c, (levels[A_c.value],), (levels[B_c.value],)) is not None:
+                    if _reduction(P, wadge, A_c, B_c, sig[A_c.value], sig[B_c.value]) is not None:
                         result.findings.append(
                             f"reduction duality fails on {_describe(P)}: "
                             f"{P.members(A)} vs {P.members(B)}"
@@ -125,15 +125,6 @@ def suite_duality(max_size: int) -> VerifyResult:
                         f"{P.members(A)} -> {P.members(B)}"
                     )
     return result
-
-
-def _level_table(P: FinitePoset) -> list[DiffLevel]:
-    """The level of every subset of P, indexed by mask value, from the level census."""
-    table: list[Optional[DiffLevel]] = [None] * (1 << P.n)
-    for level, members in subset_levels(P).items():
-        for value in _set_bits(members):
-            table[value] = level
-    return table
 
 
 SUITES = {

@@ -335,6 +335,21 @@ def test_directory_paths_exit_1(capsys, chain2_doc, tmp_path):
         assert len(err) == 1 and err[0].startswith("error: ")
 
 
+def test_space_negative_cap_exits_1(capsys, chain2_doc):
+    code, err = run_failing(capsys, "space", chain2_doc, "--cap", "-1")
+    assert (code, err) == (1, ["error: --cap must be at least 0, got -1"])
+
+
+def test_degrees_all_negative_cap_exits_1(capsys, chain2_doc):
+    code, err = run_failing(capsys, "degrees", chain2_doc, "--all", "--cap", "-1")
+    assert (code, err) == (1, ["error: --cap must be at least 0, got -1"])
+
+
+def test_classify_oracle_negative_cap_exits_1(capsys, chain2_doc):
+    code, err = run_failing(capsys, "classify", chain2_doc, "top", "--oracle", "--cap", "-5")
+    assert (code, err) == (1, ["error: --cap must be at least 0, got -5"])
+
+
 def test_files_are_written_before_stdout(capsys, chain2_doc, tmp_path):
     report, dot, dot_alone = tmp_path / "report.json", tmp_path / "deg.dot", tmp_path / "alone.dot"
     code, out = run(capsys, "degrees", chain2_doc, "--all", "--out", str(report), "--dot", str(dot))

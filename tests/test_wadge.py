@@ -638,19 +638,23 @@ def test_subset_quotient_refuses_more_than_24_elements():
 
 
 def test_duality_pairs_match_wadge_reduces():
-    """``_reduction`` on the census table's levels is wadge_reduces, on every type n <= 4."""
+    """``_reduction`` on the signatures of all subsets is wadge_reduces, on every type n <= 4.
+
+    wadge_reduces asks ``_signatures`` for the pair alone, so a subset's
+    signature must not depend on the list it was given in.
+    """
     for n in range(1, 5):
         for P in all_posets(n):
-            table = verify._level_table(P)
             subsets = all_subsets(P)
-            assert table == [classify(P, A) for A in sorted(subsets, key=lambda A: A.value)]
+            sigs = dict(zip((A.value for A in subsets), wadge._signatures(P, ReducibilityKind.WADGE, subsets)))
+            assert sigs == {A.value: (classify(P, A),) for A in subsets}
             for A in subsets:
                 for B in subsets:
-                    found = _reduction(P, ReducibilityKind.WADGE, A, B, (table[A.value],), (table[B.value],))
+                    found = _reduction(P, ReducibilityKind.WADGE, A, B, sigs[A.value], sigs[B.value])
                     assert found == wadge_reduces(P, A, B)
 
 
-def test_duality_classifies_only_in_its_level_check(monkeypatch):
+def test_duality_classifies_in_its_level_check_and_once_per_complement_pair(monkeypatch):
     calls = {"verify": 0, "wadge": 0}
     for name, module in (("verify", verify), ("wadge", wadge)):
         classify_ = module.classify
@@ -659,7 +663,9 @@ def test_duality_classifies_only_in_its_level_check(monkeypatch):
         )
     result = verify.suite_duality(4)
     assert result.passed
-    assert calls == {"verify": 2 * 306, "wadge": 0}  # a subset and its complement, 306 subsets
+    # the level check: a subset and its complement, 306 subsets;
+    # _signatures: one set of each of the 153 complement pairs
+    assert calls == {"verify": 2 * 306, "wadge": 153}
 
 
 # --- retractions ----------------------------------------------------------
