@@ -57,9 +57,10 @@ def _run(argv: list[str]) -> list:
     return [argv, code, out.getvalue(), err.getvalue(), written]
 
 
-def _doc(name: str, P, sets=None) -> str:
+def _doc(name: str, space) -> str:
+    """Save a PosetDocument, or a bare FinitePoset, as ``name.json``."""
     path = f"{name}.json"
-    save_document(P if isinstance(P, PosetDocument) else PosetDocument(P, sets or {}), path)
+    save_document(space if isinstance(space, PosetDocument) else PosetDocument(space), path)
     return path
 
 
@@ -154,7 +155,7 @@ def group_gallery():
 
 def group_error_exits():
     L2 = chain(2)
-    doc = _doc("L2", L2, {"top": L2.mask(["1"])})
+    doc = _doc("L2", PosetDocument(L2, {"top": L2.mask(["1"])}))
     big = _doc("c9", chain(9))
     huge = _doc("c25", chain(25))
     os.makedirs("adir", exist_ok=True)
@@ -217,8 +218,9 @@ def run_corpus() -> dict[str, list]:
         cwd = os.getcwd()
         try:
             for name, group in GROUPS.items():
-                os.mkdir(os.path.join(root, name))
-                os.chdir(os.path.join(root, name))
+                path = os.path.join(root, name)
+                os.mkdir(path)
+                os.chdir(path)
                 records[name] = [_run(argv) for argv in group()]
         finally:
             os.chdir(cwd)
