@@ -42,13 +42,6 @@ SPACE_OPENS_CAP = 16
 DEGREES_ALL_CAP = 6
 
 
-def _cap(value, default: int) -> int:
-    """The ``--cap`` value, or ``default`` when none is given."""
-    if value is not None and value < 0:
-        raise FinWadgeError(f"--cap must be at least 0, got {value}")
-    return default if value is None else value
-
-
 def _emit(args, payload, dot=None) -> int:
     """Write the DOT file, then the JSON report to ``--out`` or stdout.
 
@@ -69,13 +62,12 @@ def _emit(args, payload, dot=None) -> int:
 def cmd_space(args) -> int:
     doc = load_document(args.document)
     X = doc.space
-    cap = _cap(args.cap, SPACE_OPENS_CAP)
     rank = X.derivative_trace().scattered_rank
     report = {
         "elements": X.n,
         "dimension": rank - 1,  # FinitePoset.dimension: the height
         "scattered_rank": rank,
-        "open_sets": sum(1 for _ in X.enumerate_opens()) if X.n <= cap else "capped",
+        "open_sets": sum(1 for _ in X.enumerate_opens()) if X.n <= args.cap else "capped",
     }
     return _emit(args, report, lambda: poset_to_dot(X))
 
@@ -95,7 +87,7 @@ def cmd_classify(args) -> int:
         "witness_chain_out": [X.labels[i] for i in chain_out.points],
     }
     if args.oracle:
-        other = oracle_level(X, A, cap=_cap(args.cap, ORACLE_DEFAULT_CAP))
+        other = oracle_level(X, A, cap=args.cap)
         report["oracle_label"] = other.label
         report["oracle_agrees"] = other == level
     return _emit(args, report)
@@ -148,11 +140,10 @@ def cmd_degrees(args) -> int:
     X = doc.space
     kind = ReducibilityKind(args.kind)
     if args.all:
-        cap = _cap(args.cap, DEGREES_ALL_CAP)
         if kind is ReducibilityKind.WADGE:
-            D = subset_quotient(X, cap=cap)  # the level census; no subset is built
+            D = subset_quotient(X, cap=args.cap)  # the level census; no subset is built
         else:
-            D = degree_structure(X, all_subsets(X, cap=cap), kind)
+            D = degree_structure(X, all_subsets(X, cap=args.cap), kind)
     elif args.subsets:
         D = degree_structure(X, [parse_subset(doc, token) for token in args.subsets], kind)
     else:
@@ -215,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("space", help="report element count, opens, dimension, scattered rank")
     p.add_argument("document")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=SPACE_OPENS_CAP)
     p.add_argument("--dot", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_space)
@@ -224,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("document")
     p.add_argument("subset")
     p.add_argument("--oracle", action="store_true", help="cross-check against the brute-force oracle")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=ORACLE_DEFAULT_CAP)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_classify)
 
@@ -240,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("subsets", nargs="*")
     p.add_argument("--all", action="store_true", help="use every subset of the space")
     p.add_argument("--kind", choices=[k.value for k in ReducibilityKind], default="wadge")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=DEGREES_ALL_CAP)
     p.add_argument("--dot", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_degrees)
@@ -280,6 +271,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if getattr(args, "cap", 0) < 0:  # every command that declares --cap
+            raise FinWadgeError(f"--cap must be at least 0, got {args.cap}")
         return args.func(args)
     except CapExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")

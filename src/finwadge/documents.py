@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import DocumentError, FinWadgeError
+from .errors import DocumentError, DuplicateLabelError, FinWadgeError
 from .poset import FinitePoset, SubsetMask, build_poset
 from .wadge import DegreeStructure, KPartition, SubsetQuotient
 
@@ -44,6 +44,8 @@ def document_from_dict(data: dict) -> PosetDocument:
         covers.append((pair[0], pair[1]))
     try:
         poset = build_poset(elements, covers)
+    except DuplicateLabelError as exc:
+        raise type(exc)(f"field 'elements': {exc}") from exc
     except FinWadgeError as exc:
         raise type(exc)(f"in document covers: {exc}") from exc
     sets: dict[str, SubsetMask] = {}

@@ -24,9 +24,9 @@ def chain(n: int) -> FinitePoset:
 
 
 def antichain(n: int) -> FinitePoset:
-    """Discrete order on n >= 1 elements labeled 'a0', 'a1', ..."""
-    if n < 1:
-        raise ValueError("antichain needs at least one element")
+    """Discrete order on n elements labeled 'a0', 'a1', ... ; n = 0 is empty."""
+    if n < 0:
+        raise ValueError("antichain size must be >= 0")
     return build_poset([f"a{i}" for i in range(n)], [])
 
 
@@ -57,9 +57,9 @@ def expected_structure(k: int) -> FinitePoset:
 
 
 def truncated_c_infinity(N: int) -> FinitePoset:
-    """Elements 0..N-1 ordered by i <= j iff i >= j numerically (0 on top)."""
-    if N < 1:
-        raise ValueError("need at least one element")
+    """Elements 0..N-1 ordered by i <= j iff i >= j numerically (0 on top); N = 0 is empty."""
+    if N < 0:
+        raise ValueError("truncation length must be >= 0")
     labels = [str(i) for i in range(N)]
     covers = [(str(i + 1), str(i)) for i in range(N - 1)]
     return build_poset(labels, covers)

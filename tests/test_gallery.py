@@ -28,8 +28,9 @@ def test_antichain_basics():
     assert sum(1 for _ in antichain(2).enumerate_opens()) == 4
     for n in (1, 3, 6):
         assert antichain(n).dimension() == 0
+    assert antichain(0).n == 0
     with pytest.raises(ValueError):
-        antichain(0)
+        antichain(-1)
 
 
 def test_linear_sum():

@@ -19,6 +19,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import tempfile
 from itertools import product
 from pathlib import Path
@@ -153,6 +154,19 @@ def group_gallery():
     yield ["gallery", "build", "chain", "2", "--out", "missing-dir/g.json"]
 
 
+def group_large_spaces():
+    """The fan(3) quotient, and classify on the named sets of fan(18) and on seeded chain(160) subsets."""
+    yield ["gallery", "build", "fan", "3", "--out", "fan3.json"]
+    yield ["degrees", "fan3.json", "--all", "--cap", "12"]
+    doc = fan(18)
+    fan_path, chain_path = _doc("fan18", doc), _doc("c160", chain(160))
+    for name in sorted(doc.sets):
+        yield ["classify", fan_path, name]
+    rng = random.Random(160)
+    for _ in range(3):
+        yield ["classify", chain_path, "".join(rng.choice("01") for _ in range(160))]
+
+
 def group_error_exits():
     L2 = chain(2)
     doc = _doc("L2", PosetDocument(L2, {"top": L2.mask(["1"])}))
@@ -207,6 +221,7 @@ GROUPS = {
     "reduce": group_reduce,
     "verify": group_verify,
     "gallery": group_gallery,
+    "large-spaces": group_large_spaces,
     "error-exits": group_error_exits,
 }
 

@@ -89,6 +89,27 @@ def test_chain2_top_not_reducible_to_bottom(small_poset_zoo):
     assert not brute_reduces(L2, L2.mask(["1"]), L2.mask(["0"]))
 
 
+def test_crown_pair_exhausts_the_depth_first_search():
+    """A pair that passes the prefilter and root arc consistency, yet has no reduction.
+
+    In the 4-crown (a_i < b_i and a_i < b_(i+1 mod 4)) both sets are
+    ProperDelta(2) and arc consistency at the root empties no domain, so
+    the kernel gives up only after its depth-first pass (36 assignments).
+    """
+    labels = [f"a{i}" for i in range(4)] + [f"b{i}" for i in range(4)]
+    X = build_poset(labels, [(f"a{i}", f"b{j % 4}") for i in range(4) for j in (i, i + 1)])
+    A, B = X.mask(["a1", "b2"]), X.mask(["a1", "a3", "b1", "b3"])
+    assert classify(X, A).label == classify(X, B).label == "ProperDelta(2)"
+    assert wadge_reduces(X, A, B) is None
+    assert reference_search_map(X, reference_domains(X, A, B)) is None
+
+
+def test_empty_space_reduces_by_the_empty_map():
+    X = chain(0)
+    f = wadge_reduces(X, X.empty_mask(), X.empty_mask())
+    assert f is not None and f.image == ()
+
+
 @given(poset_with_two_masks(max_size=4))
 def test_search_agrees_with_bruteforce(pxy):
     P, A, B = pxy
