@@ -40,10 +40,6 @@ RULES = [
          "one monotone-map search, run by wadge._first_map and enumeration.random_retraction; no third caller"),
 ]
 
-PACKAGE = {
-    path.name: ast.parse(path.read_text(encoding="utf-8"))
-    for path in sorted(Path(finwadge.__file__).parent.glob("*.py"))
-}
 
 
 def uses(tree: ast.AST, rule: Rule) -> list[tuple[int, str, str]]:
@@ -65,18 +61,24 @@ def uses(tree: ast.AST, rule: Rule) -> list[tuple[int, str, str]]:
 
 
 def outside_owners(tree: ast.AST, module: str, rule: Rule) -> list[tuple[int, str, str]]:
-    if module in rule.owners:
-        return []
-    return [use for use in uses(tree, rule) if f"{module}:{use[1]}" not in rule.owners]
+    return [use for use in uses(tree, rule) if not {module, f"{module}:{use[1]}"} & rule.owners]
+
+
+@pytest.fixture(scope="module")
+def package() -> dict[str, ast.Module]:
+    return {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(finwadge.__file__).parent.glob("*.py"))
+    }
 
 
 @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.name)
-def test_only_the_owners_use_guarded_names(rule):
-    outside = {module: found for module, tree in PACKAGE.items() if (found := outside_owners(tree, module, rule))}
+def test_only_the_owners_use_guarded_names(package, rule):
+    outside = {module: found for module, tree in package.items() if (found := outside_owners(tree, module, rule))}
     assert outside == {}, f"rule {rule.name!r}: {rule.reason}"
     for owner in rule.owners:  # an owner that no longer uses the names is a stale row
         module, _, func = owner.partition(":")
-        assert any(func in ("", f) for _, f, _ in uses(PACKAGE[module], rule)), f"rule {rule.name!r}: {owner} is idle"
+        assert any(func in ("", f) for _, f, _ in uses(package[module], rule)), f"rule {rule.name!r}: {owner} is idle"
 
 
 WRITES = (
