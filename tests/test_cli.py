@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import random
+from itertools import product
 
 import pytest
 
@@ -100,6 +103,17 @@ def test_degrees_all(capsys, chain2_doc):
     assert report["diagnostics"]["max_antichain"] == 2
 
 
+def test_degrees_fan3_stdout_is_pinned(capsys, tmp_path):
+    """Classes, representatives and Hasse order of the fan(3) quotient, byte for byte."""
+    path = tmp_path / "fan3.json"
+    code, _ = run(capsys, "gallery", "build", "fan", "3", "--out", str(path))
+    assert code == 0
+    code, out = run(capsys, "degrees", str(path), "--all", "--cap", "12")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "8d2203b216aa73a2328af6fbe1375da87fa4826644fb6308b5618f0958935b90"
+
+
 def test_degrees_all_fan3_uses_the_census(capsys, tmp_path, monkeypatch):
     """degrees --all classifies no set, runs no search and builds no list of subsets."""
     from finwadge import cli, hierarchy, wadge
@@ -143,6 +157,39 @@ def test_parser_is_built_once(capsys, chain2_doc, monkeypatch):
     for argv in (["space", chain2_doc], ["classify", chain2_doc, "top"], ["degrees", chain2_doc, "--all"]):
         assert run(capsys, *argv)[0] == 0
     assert len(builds) == 1
+
+
+def test_classify_large_space_stdout_is_pinned(capsys, tmp_path):
+    """Levels and witness chains of the named fan(18) sets and three seeded 160-chain subsets."""
+    built = fan(18)
+    fan_path, chain_path = tmp_path / "fan18.json", tmp_path / "c160.json"
+    save_document(built, fan_path)
+    save_document(PosetDocument(chain(160)), chain_path)
+    rng = random.Random(160)
+    argvs = [["classify", str(fan_path), name] for name in sorted(built.sets)]
+    argvs += [["classify", str(chain_path), "".join(rng.choice("01") for _ in range(160))] for _ in range(3)]
+    out = ""
+    for argv in argvs:
+        code, text = run(capsys, *argv)
+        assert code == 0
+        out += text
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "db51842962aefcc41638d9a54a9b8c8fa366e30870163decee43a8c47041ba59"
+
+
+def test_partitions_all_colorings_stdout_is_pinned(capsys, tmp_path):
+    """Every 3-partition of a V beside a 2-chain: 48 classes, 426 strict pairs, 99 Hasse edges."""
+    path = tmp_path / "v_chain2.json"
+    doc = {
+        "elements": ["e0", "e1", "e2", "e3", "e4"],
+        "covers": [["e0", "e4"], ["e1", "e4"], ["e2", "e3"]],
+    }
+    path.write_text(json.dumps(doc))
+    colorings = ["".join(map(str, c)) for c in product(range(3), repeat=5)]
+    code, out = run(capsys, "partitions", str(path), *colorings, "-k", "3")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "693ce2436b1277564da062b3ab49f992edfb17659410d320e74b3c143abaa149"
 
 
 def test_degrees_cap_exit_2(capsys, tmp_path):
