@@ -53,6 +53,8 @@ def lex_product(P: FinitePoset, Q: FinitePoset) -> FinitePoset:
 
 def expected_structure(k: int) -> FinitePoset:
     """k stacked incomparable pairs with a four-element antichain on top."""
+    if k < 0:
+        raise ValueError("expected structure needs k >= 0")
     return linear_sum(lex_product(antichain(2), chain(k)), antichain(4))
 
 

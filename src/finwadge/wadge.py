@@ -232,49 +232,81 @@ def _first_map(
     return None if image is None else MonotoneMap(X.space_id, image)
 
 
+def _arc_consistent(X: FinitePoset, domains: Sequence[int]) -> Optional[list[int]]:
+    """The greatest arc-consistent domains inside domains, or None if one is empty.
+
+    The arcs are the cover edges: for each cover y < z, every t in dom[z]
+    needs some s <= t in dom[y], and every s in dom[y] some t >= s in
+    dom[z]; a value without support belongs to no monotone map.  Sweeps
+    along X.linext alternate: the upward one narrows each dom[z] to the
+    up-closures of its lower covers' domains, the downward one, in reverse
+    order, each dom[y] to the down-closures of its upper covers' domains.
+    A sweep leaves every arc of its direction consistent, since each
+    cover it reads is final by then; so the first sweep after the first
+    that changes nothing ends at the fixpoint.  Each closure is computed
+    once per distinct domain value, and its union skips every value
+    already inside it, since a union of up-sets (down-sets) is one.
+    """
+    dom = list(domains)
+    if not all(dom):
+        return None
+    order = X.linext
+    sweeps = (
+        (order, X._cover_below, X._up_int, {}, True),
+        (order[::-1], X._cover_above, X._down_int, {}, False),
+    )
+    first = True
+    while True:
+        for elements, covers, rows, closures, lowest_first in sweeps:
+            changed = False
+            for x in elements:
+                d = old = dom[x]
+                for c in covers[x]:
+                    source = dom[c]
+                    reach = closures.get(source)
+                    if reach is None:
+                        reach, rest = 0, source
+                        while rest:
+                            bit = (rest & -rest).bit_length() if lowest_first else rest.bit_length()
+                            reach |= rows[bit - 1]
+                            rest &= ~reach
+                        closures[source] = reach
+                    d &= reach
+                if d != old:
+                    if not d:
+                        return None
+                    dom[x] = d
+                    changed = True
+            if not (changed or first):
+                return dom
+            first = False
+
+
 def _search_map(X: FinitePoset, domains: Sequence[int]) -> Optional[tuple[int, ...]]:
     """First monotone map with f(x) in the bitmask domains[x], or None.
 
     Two prunings remove only values that belong to no solution:
-    - at the root, arc consistency over the cover edges (Mackworth's
-      AC-3): for each cover y < z, f(z) needs a support in the up-closure
-      of dom[y] and f(y) one in the down-closure of dom[z];
+    - at the root, arc consistency over the cover edges
+      (``_arc_consistent``): for each cover y < z, f(z) needs a support in
+      the up-closure of dom[y] and f(y) one in the down-closure of dom[z];
     - forward checking along X.linext: setting f(x) = t narrows the
       domain of every strict successor of x to the up-set of t, and a
       trail of (element, old domain) pairs undoes that on backtracking.
     The search is depth-first along X.linext with an explicit stack, and
     the candidates at each depth are the current domain, tried lowest
     index first.  The result is therefore the first solution in
-    linear-extension order, as without the prunings.
+    linear-extension order, as without the prunings.  The root pass ends
+    at the greatest arc-consistent domains, which are unique whatever
+    order it removes values in, so the witness does not depend on that
+    order either.
     """
     n = X.n
     if n == 0:
         return ()
-    up, down = X._up_int, X._down_int
-    cover_above, cover_below = X._cover_above, X._cover_below
-    dom = list(domains)
-    pending = (1 << n) - 1  # elements whose domain the revision has to propagate
-    while pending:
-        low = pending & -pending
-        pending ^= low
-        y = low.bit_length() - 1
-        d = dom[y]
-        if not d:
-            return None
-        reach_up = reach_down = 0
-        while d:
-            v = (d & -d).bit_length() - 1
-            reach_up |= up[v]
-            reach_down |= down[v]
-            d &= d - 1
-        for neighbours, reach in ((cover_above[y], reach_up), (cover_below[y], reach_down)):
-            for z in neighbours:
-                narrowed = dom[z] & reach
-                if narrowed != dom[z]:
-                    if not narrowed:
-                        return None
-                    dom[z] = narrowed
-                    pending |= 1 << z
+    dom = _arc_consistent(X, domains)
+    if dom is None:
+        return None
+    up = X._up_int
     order = X.linext
     above = X._strict_above
     image = [0] * n

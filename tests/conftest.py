@@ -319,6 +319,40 @@ def reference_search_map(P: FinitePoset, domains):
     return None
 
 
+def reference_arc_consistent(P: FinitePoset, domains):
+    """Greatest arc-consistent domains over the cover edges, by a naive fixpoint.
+
+    Every pass revises every cover pair y < z in both directions, with
+    closures built value by value from P._up_int (no memo, no skipping),
+    until a pass changes nothing; None as soon as a domain is empty.  The
+    passes go over the pairs forwards and backwards in turn, which only
+    makes long chains settle in fewer passes.
+    """
+    n = P.n
+    up = P._up_int
+    strict = [[z for z in range(n) if z != y and up[y] >> z & 1] for y in range(n)]
+    covers = [(y, z) for y in range(n) for z in strict[y] if not any(up[w] >> z & 1 for w in strict[y] if w != z)]
+    dom = list(domains)
+    changed = True
+    while changed:
+        if not all(dom):
+            return None
+        changed = False
+        covers.reverse()
+        for y, z in covers:
+            up_closure = down_closure = 0
+            for v in range(n):
+                if dom[y] >> v & 1:
+                    up_closure |= up[v]  # every t >= v
+                if up[v] & dom[z]:
+                    down_closure |= 1 << v  # v <= some t in dom[z]
+            narrowed = dom[z] & up_closure, dom[y] & down_closure
+            if narrowed != (dom[z], dom[y]):
+                dom[z], dom[y] = narrowed
+                changed = True
+    return dom
+
+
 def reference_domains(P: FinitePoset, a, b):
     """Allowed targets of each x for a reduction of item a to item b."""
     if isinstance(a, SubsetMask):

@@ -244,6 +244,13 @@ def test_gallery_sizes_from_zero(capsys, tmp_path, name):
         assert json.loads(path.read_text()) == {"covers": [], "elements": []}
 
 
+def test_gallery_negative_expected_structure_names_k(capsys, tmp_path):
+    path = tmp_path / "g.json"
+    code, err = run_failing(capsys, "gallery", "build", "expected-structure", "-1", "--out", str(path))
+    assert (code, err) == (1, ["error: expected structure needs k >= 0"])
+    assert not path.exists()
+
+
 def test_gallery_unknown_name(capsys, tmp_path):
     code, _ = run(capsys, "gallery", "build", "mystery", "3", "--out", str(tmp_path / "x.json"))
     assert code == 1

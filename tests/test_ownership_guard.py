@@ -38,6 +38,8 @@ RULES = [
          "_emit writes every file before stdout; a function writing on its own could print first and fail afterwards"),
     Rule("search", {"_search_map"}, set(), {"wadge.py", "enumeration.py"},
          "one monotone-map search, run by wadge._first_map and enumeration.random_retraction; no third caller"),
+    Rule("arc-consistency", {"_arc_consistent"}, set(), {"wadge.py"},
+         "the root pruning of wadge._search_map; a caller outside the kernel could prune by a second rule"),
 ]
 
 

@@ -25,6 +25,7 @@ from finwadge import (
     is_monotone,
     is_retraction,
     level_leq,
+    lex_product,
     linear_sum,
     partition_reduces,
     poset_isomorphic,
@@ -51,6 +52,7 @@ from conftest import (
     rank_map,
     reference_degree_structure,
     reference_domains,
+    reference_arc_consistent,
     reference_max_clique,
     reference_reduces,
     reference_search_map,
@@ -792,6 +794,37 @@ def test_search_map_matches_reference_oracle():
             assert _search_map(P, domains) == want
             found[want is not None] += 1
     assert min(found.values()) > 500
+
+
+def test_arc_consistent_matches_the_exact_fixpoint():
+    """The root sweeps end at the naive fixpoint's domains, or None with it."""
+    rng = random.Random(23)
+    cases = []
+    for n in range(1, 6):
+        for P in all_posets(n):
+            cases += [(P, _random_domains(rng, n)) for _ in range(6)]
+            cases += [(P, reference_domains(P, random_mask(rng, P), random_mask(rng, P))) for _ in range(6)]
+    for _ in range(60):
+        P = random_poset(rng, rng.randint(6, 16))
+        cases += [(P, _random_domains(rng, P.n)) for _ in range(3)]
+        cases += [(P, reference_domains(P, random_mask(rng, P), random_mask(rng, P))) for _ in range(3)]
+    for k in range(4, 7):
+        lows, highs = [f"a{i}" for i in range(k)], [f"b{i}" for i in range(k)]
+        crown = build_poset(lows + highs, [(lows[i], highs[j % k]) for i in range(k) for j in (i, i + 1)])
+        zigzag = [name for pair in zip(lows, highs) for name in pair]
+        fence = build_poset(zigzag, [(min(p, q), max(p, q)) for p, q in zip(zigzag, zigzag[1:])])
+        for P in (crown, fence):
+            cases += [(P, reference_domains(P, random_mask(rng, P), random_mask(rng, P))) for _ in range(40)]
+    for P in (chain(160), fan(18).space, lex_product(antichain(3), chain(60))):
+        cases += [(P, reference_domains(P, random_mask(rng, P), random_mask(rng, P))) for _ in range(8)]
+    cases.append((antichain(3), [1, 0, 4]))
+    found = {True: 0, False: 0}
+    for P, domains in cases:
+        want = reference_arc_consistent(P, domains)
+        assert wadge._arc_consistent(P, domains) == want
+        found[want is not None] += 1
+    assert wadge._arc_consistent(antichain(3), [1, 0, 4]) is None
+    assert min(found.values()) > 100
 
 
 @pytest.mark.parametrize(
