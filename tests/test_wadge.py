@@ -50,9 +50,9 @@ from conftest import (
     first_map,
     poset_with_two_masks,
     rank_map,
+    reference_arc_consistent,
     reference_degree_structure,
     reference_domains,
-    reference_arc_consistent,
     reference_max_clique,
     reference_reduces,
     reference_search_map,
