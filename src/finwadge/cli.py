@@ -152,6 +152,8 @@ def cmd_degrees(args) -> int:
 
 
 def cmd_partitions(args) -> int:
+    if args.k > 10:  # a color is one digit of a color string
+        raise FinWadgeError(f"-k must be at most 10, one digit per color, got {args.k}")
     doc = load_document(args.document)
     X = doc.space
     if args.constants:
@@ -239,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("partitions", help="degree structure of k-partitions")
     p.add_argument("document")
     p.add_argument("partitions", nargs="*", help="color strings in element-index order")
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-k", type=int, required=True, help="number of colors, 1 to 10")
     p.add_argument("--constants", action="store_true", help="use the k constant partitions")
     p.add_argument("--kind", choices=[k.value for k in ReducibilityKind], default="wadge")
     p.add_argument("--dot", default=None)

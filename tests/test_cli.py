@@ -225,6 +225,16 @@ def test_partitions_below_one_color_exit_1(capsys, fan1_doc):
         assert (code, out) == (1, "")
 
 
+def test_partitions_above_ten_colors_exit_1(capsys, chain2_doc):
+    """A color is one digit, so k runs from 1 to 10."""
+    for items in (["--constants"], ["01"]):
+        code, err = run_failing(capsys, "partitions", chain2_doc, *items, "-k", "11")
+        assert (code, err) == (1, ["error: -k must be at most 10, one digit per color, got 11"])
+    code, out = run(capsys, "partitions", chain2_doc, "--constants", "-k", "10")
+    assert code == 0
+    assert [c["representative"] for c in json.loads(out)["classes"]] == [str(c) * 2 for c in range(10)]
+
+
 def test_gallery_build_and_use(capsys, tmp_path):
     out_path = tmp_path / "fan2.json"
     code, _ = run(capsys, "gallery", "build", "fan", "2", "--out", str(out_path))

@@ -971,9 +971,37 @@ def test_subset_quotient_width_matches_reference_max_clique():
             assert Q.diagnostics.max_antichain == reference_max_clique(_incomparability(up))
 
 
-def test_fan2_all_three_partitions_quotient_is_pinned():
-    """All 6,561 3-partitions of fan(2): 183 classes, width 66, no SLO violation."""
-    X = fan(2).space
+def _three_partition_quotient(monkeypatch, X):
+    """The quotient of all 3-partitions of X and its kernel searches, counted at ``_domains``."""
+    searches = []
+    domains = wadge._domains
+
+    def spy(P, a, b):
+        searches.append(None)
+        return domains(P, a, b)
+
+    monkeypatch.setattr(wadge, "_domains", spy)
     D = degree_structure(X, [KPartition(X.space_id, 3, c) for c in product(range(3), repeat=X.n)])
+    monkeypatch.undo()
+    return D, len(searches)
+
+
+def test_fan2_all_three_partitions_quotient_is_pinned(monkeypatch):
+    """All 6,561 3-partitions of fan(2): 183 classes, width 66, no SLO violation, 28,463 searches."""
+    D, searches = _three_partition_quotient(monkeypatch, fan(2).space)
     assert (D.class_count, len(D.strict_order)) == (183, 2883)
     assert D.diagnostics.max_antichain == 66 and not D.diagnostics.slo_violations
+    assert searches == 28463
+
+
+@pytest.mark.parametrize(
+    "covers, classes, searches",
+    [([(2, 3), (3, 4)], 37, 670), ([(0, 4), (1, 4), (2, 3)], 48, 957)],
+    ids=["chain3+2", "V+chain2"],
+)
+def test_benchmark_three_partition_quotients_are_pinned(monkeypatch, covers, classes, searches):
+    """All 243 3-partitions of the benchmark's two 5-element spaces: classes and kernel searches."""
+    names = [f"q{i}" for i in range(5)]
+    X = build_poset(names, [(names[a], names[b]) for a, b in covers])
+    D, count = _three_partition_quotient(monkeypatch, X)
+    assert (D.class_count, count) == (classes, searches)
