@@ -152,6 +152,8 @@ def cmd_degrees(args) -> int:
 
 
 def cmd_partitions(args) -> int:
+    if args.k < 1:
+        raise FinWadgeError("a partition needs at least one color")
     if args.k > 10:  # a color is one digit of a color string
         raise FinWadgeError(f"-k must be at most 10, one digit per color, got {args.k}")
     doc = load_document(args.document)

@@ -122,7 +122,11 @@ class FinitePoset:
     cover rows C are read off the int rows U.  ``linext`` is Kahn's order
     of C, lowest ready index first: an element is placed once all its
     lower covers are, which in an order means once everything strictly
-    below it is.  U is accepted iff that order exists and, for every x,
+    below it is.  When no row holds a bit below its own index, the index
+    order is a linear extension: C is then read off by lowest-bit picks
+    (``_cover_rows_upward``) and ``linext`` is the index order, which is
+    Kahn's order there, so no Kahn pass runs.  U is accepted iff that
+    order exists and, for every x,
 
         U[x] = {x} | U[c1] | ... | U[ck],   where C[x] = {c1, ..., ck}.
 
@@ -135,9 +139,10 @@ class FinitePoset:
     diagram, which is acyclic, and every y > x lies above some upper
     cover of x, so the equation holds.  Only input that fails the check
     is scanned row by row, to raise on the first bad pair.  The down rows
-    are pushed up along ``linext``.  Apart from reading off the cover
-    rows (one OR per comparable pair, inside ``reduce``), construction
-    takes O(n + covers) big-int operations.
+    are pushed up along ``linext``.  On rows in a linear-extension index
+    order, construction takes O(n + covers) big-int operations.  Other
+    rows pay one OR per comparable pair to read off C (``_cover_rows``),
+    since the picks need their lowest bit to be minimal.
     """
 
     labels: tuple[str, ...]
@@ -160,9 +165,14 @@ class FinitePoset:
             if any(len(row) != n for row in rows):
                 raise ValueError("leq matrix shape does not match label count")
             up = tuple(map(_row_int, rows))
-        covers = _cover_rows(up)
-        above = [tuple(_members(row)) for row in covers]
-        order = _topological_order(above)
+        if all(row >> x << x == row for x, row in enumerate(up)):
+            covers = _cover_rows_upward(up)
+            above = [tuple(_members(row)) for row in covers]
+            order = _index_order(n)  # Kahn's order, as every cover row points to higher indices
+        else:
+            covers = _cover_rows(up)
+            above = [tuple(_members(row)) for row in covers]
+            order = _topological_order(above)
         if order is None or any(
             reduce(or_, map(up.__getitem__, above[x]), 1 << x) != up[x] for x in reversed(order)
         ):
@@ -405,9 +415,11 @@ def build_poset(labels: Sequence[str], covers: Sequence[tuple[str, str]]) -> Fin
     int rows, which the poset then stores as its order unconverted.  The
     rows are closed from the top of Kahn's order of the pairs: each row
     ORs in the closed rows of its direct successors, O(n + pairs) ORs in
-    all.  Pairs with a cycle have no such order; their rows are closed by
-    Warshall's pass instead, so that FinitePoset rejects the closure with
-    CycleError on the same first bad pair.
+    all.  When every pair goes from a lower to a higher index, the index
+    order is already topological and no Kahn pass runs.  Pairs with a
+    cycle have no such order; their rows are closed by Warshall's pass
+    instead, so that FinitePoset rejects the closure with CycleError on
+    the same first bad pair.
     """
     labels = tuple(str(x) for x in labels)
     if len(set(labels)) != len(labels):
@@ -415,6 +427,7 @@ def build_poset(labels: Sequence[str], covers: Sequence[tuple[str, str]]) -> Fin
     index = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
     succ = [0] * n
+    upward = True  # every pair goes from a lower to a higher index
     for pair in covers:
         lo, hi = (str(pair[0]), str(pair[1]))
         if lo not in index:
@@ -423,11 +436,15 @@ def build_poset(labels: Sequence[str], covers: Sequence[tuple[str, str]]) -> Fin
             raise UnknownElement(f"cover pair refers to unknown element {hi!r}")
         if lo == hi:
             raise CycleError(f"cover pair ({lo!r}, {hi!r}) is a loop")
+        upward = upward and index[lo] < index[hi]
         succ[index[lo]] |= 1 << index[hi]
     above = [tuple(_members(row)) for row in succ]
-    order = _topological_order(above)
-    if order is None:
-        return FinitePoset(labels, _warshall_closure(succ))
+    if upward:
+        order = _index_order(n)
+    else:
+        order = _topological_order(above)
+        if order is None:
+            return FinitePoset(labels, _warshall_closure(succ))
     up = [0] * n
     for x in reversed(order):
         up[x] = reduce(or_, map(up.__getitem__, above[x]), 1 << x)
@@ -559,6 +576,30 @@ def _cover_rows(up: Sequence[int]) -> tuple[int, ...]:
     """Bitmask rows of the cover relation: the minimal strict successors of each element."""
     strict = [row & ~(1 << i) for i, row in enumerate(up)]
     return tuple([row & ~reduce(or_, compress(strict, _bit_flags(row)), 0) for row in strict])
+
+
+def _cover_rows_upward(up: Sequence[int]) -> tuple[int, ...]:
+    """``_cover_rows`` for rows whose index order is a linear extension.
+
+    Every row holds only its own index and higher ones.  The lowest bit y
+    of what is left of x's strict up row is then minimal in it, so it is
+    an upper cover of x, and everything above y is dropped.  That takes
+    O(covers) big-int operations, where ``_cover_rows`` takes one OR per
+    comparable pair.  y's own bit is cleared even where row y lacks it,
+    so rows that are no order still end the loop, and then fail the
+    check of ``FinitePoset``.
+    """
+    covers = []
+    for x, row in enumerate(up):
+        strict = rest = row & ~(1 << x)
+        beyond = 0
+        while rest:
+            low = rest & -rest
+            above_y = up[low.bit_length() - 1]
+            beyond |= above_y & ~low
+            rest &= ~(above_y | low)
+        covers.append(strict & ~beyond)
+    return tuple(covers)
 
 
 def _bit_flags(value: int) -> bytes:

@@ -86,7 +86,10 @@ class KPartition:
         return SubsetMask(self.space_id, len(self.colors), value)
 
     def colorstring(self) -> str:
-        return "".join(str(c) for c in self.colors)
+        """One digit per element, so colors run from 0 to 9."""
+        if any(c > 9 for c in self.colors):
+            raise ValueError("a color string has one digit per color, so every color must be below 10")
+        return "".join(map(str, self.colors))
 
     def compose_with(self, f: MonotoneMap) -> "KPartition":
         """self after f."""

@@ -242,23 +242,41 @@ def reference_order(labels, leq):
                 for k in range(n):
                     if leq[j][k] and not leq[i][k]:
                         raise ValueError("order must be transitive")
-    cover = tuple(
-        tuple(
-            i != j and bool(leq[i][j])
-            and not any(k != i and k != j and leq[i][k] and leq[k][j] for k in range(n))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    remaining = set(range(n))
+    cover = tuple(tuple(bool(row >> j & 1) for j in range(n)) for row in reference_covers(leq))
+    return cover, reference_linext(leq)
+
+
+def reference_covers(leq) -> tuple[int, ...]:
+    """Cover rows of a valid order matrix by the definition: bit y of row x is set
+    iff x < y and no z lies strictly between them."""
+    n = len(leq)
+    rows = []
+    for x in range(n):
+        above = [y for y in range(n) if y != x and leq[x][y]]
+        rows.append(sum(1 << y for y in above if not any(z != y and leq[z][y] for z in above)))
+    return tuple(rows)
+
+
+def reference_linext(leq) -> tuple[int, ...]:
+    """Kahn's order of a valid order matrix, lowest ready index first.
+
+    An element is ready once everything strictly below it is placed; the
+    counts run over all comparable pairs, not over the covers.
+    """
+    n = len(leq)
+    waiting = [sum(1 for j in range(n) if j != i and leq[j][i]) for i in range(n)]
+    ready = [i for i in range(n) if not waiting[i]]
     linext = []
-    while remaining:
-        ready = sorted(
-            i for i in remaining if all(j == i or j not in remaining for j in range(n) if leq[j][i])
-        )
-        linext.append(ready[0])
-        remaining.remove(ready[0])
-    return cover, tuple(linext)
+    while ready:
+        x = min(ready)
+        ready.remove(x)
+        linext.append(x)
+        for y in range(n):
+            if y != x and leq[x][y]:
+                waiting[y] -= 1
+                if not waiting[y]:
+                    ready.append(y)
+    return tuple(linext)
 
 
 def reference_build_poset(labels, pairs):

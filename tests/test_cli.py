@@ -225,6 +225,13 @@ def test_partitions_below_one_color_exit_1(capsys, fan1_doc):
         assert (code, out) == (1, "")
 
 
+def test_partitions_below_one_color_has_one_message(capsys, chain2_doc):
+    # both routes reject k < 1 before reading the colors
+    for items in (["01"], ["--constants"], []):
+        code, err = run_failing(capsys, "partitions", chain2_doc, *items, "-k", "-3")
+        assert (code, err) == (1, ["error: a partition needs at least one color"])
+
+
 def test_partitions_above_ten_colors_exit_1(capsys, chain2_doc):
     """A color is one digit, so k runs from 1 to 10."""
     for items in (["--constants"], ["01"]):

@@ -36,7 +36,9 @@ from conftest import (
     posets,
     poset_with_mask,
     reference_build_poset,
+    reference_covers,
     reference_dimension,
+    reference_linext,
     reference_order,
     reference_poset_isomorphic,
     relabelled,
@@ -233,6 +235,68 @@ def test_valid_input_skips_the_fallbacks(monkeypatch):
         P = random_poset(random.Random(seed), 60)
         build_poset(P.labels, [(P.labels[i], P.labels[j]) for i, j in P.hasse_edges()])
     assert conversions == []
+
+
+def _index_order_is_linear_extension(P: FinitePoset) -> bool:
+    return all(j >= i for i in range(P.n) for j in range(P.n) if P.leq[i][j])
+
+
+def _reversed(P: FinitePoset) -> FinitePoset:
+    """P with its indices reversed, so that every higher index lies below no lower one."""
+    return FinitePoset(P.labels[::-1], tuple(tuple(row[::-1]) for row in P.leq[::-1]))
+
+
+def test_both_construction_paths_match_the_reference_covers(monkeypatch):
+    # rows in a linear-extension index order take the lowest-bit picks and
+    # no Kahn pass; every other input takes the pass over comparable pairs
+    calls = []
+    for name in ("_cover_rows", "_cover_rows_upward", "_topological_order"):
+        spied = getattr(poset, name)
+        monkeypatch.setattr(poset, name, lambda rows, _f=spied, _n=name: calls.append(_n) or _f(rows))
+    types = [P for n in range(1, 7) for P in all_posets(n)]
+    rng = random.Random(25)
+    shuffled = [relabelled(P, rng) for P in types]
+    L160 = chain(160)
+    large = [L160, _reversed(L160), fan(18).space, lex_product(antichain(3), chain(60))]
+    assert all(map(_index_order_is_linear_extension, types))
+    assert [_index_order_is_linear_extension(P) for P in large] == [True, False, False, True]
+    assert sum(not _index_order_is_linear_extension(P) for P in shuffled) > len(types) // 2
+    for P in types + shuffled + large:
+        del calls[:]
+        Q = FinitePoset(P.labels, P._up_int)
+        fast = _index_order_is_linear_extension(Q)
+        assert calls == (["_cover_rows_upward"] if fast else ["_cover_rows", "_topological_order"])
+        assert Q._cover_int == reference_covers(Q.leq), Q.labels
+        assert Q.linext == reference_linext(Q.leq), Q.labels
+        n = Q.n
+        assert Q._down_int == tuple(sum(1 << i for i in range(n) if Q.leq[i][j]) for j in range(n))
+
+
+def test_lowest_bit_picks_end_on_rows_without_their_own_bit():
+    # the cover rows are read before validation; in the second case row 0
+    # picks 1, whose row lacks bit 1, so the picks end only if they clear
+    # the picked bit itself
+    with pytest.raises(ValueError, match="^order must be reflexive$"):
+        FinitePoset(("a", "b"), (0b10, 0b10))
+    with pytest.raises(ValueError, match="^order must be reflexive$"):
+        FinitePoset(("a", "b"), (0b11, 0b00))
+
+
+def test_build_poset_on_index_increasing_pairs_matches_warshall(monkeypatch):
+    # pairs from a lower to a higher index are closed along reversed(range(n)),
+    # with no Kahn pass over the pairs
+    monkeypatch.setattr(poset, "_topological_order", _refuse)
+    for seed in range(200):
+        rng = random.Random(seed)
+        n = rng.randint(1, 40)
+        labels = tuple(f"e{i}" for i in range(n))
+        succ = [0] * n
+        pairs = []
+        for _ in range(rng.randint(0, 3 * n) if n > 1 else 0):
+            i, j = sorted(rng.sample(range(n), 2))
+            succ[i] |= 1 << j
+            pairs.append((labels[i], labels[j]))
+        assert build_poset(labels, pairs)._up_int == poset._warshall_closure(succ), pairs
 
 
 def test_order_is_stored_once_as_int_rows(tmp_path):

@@ -494,6 +494,15 @@ def test_partition_validation():
         KPartition("sid", 0, ())
 
 
+def test_colorstring_has_one_digit_per_color():
+    # two digits would make (1, 11) and (11, 1) both print 111
+    L2 = chain(2)
+    for colors in ((1, 11), (11, 1), (10, 0)):
+        with pytest.raises(ValueError, match="below 10"):
+            KPartition(L2.space_id, 12, colors).colorstring()
+    assert KPartition(L2.space_id, 12, (9, 0)).colorstring() == "90"
+
+
 def test_fan1_full_structure_recorded():
     # computed, not assumed: the N=1 truncation is finitely very good
     X = fan(1).space
