@@ -165,14 +165,11 @@ class FinitePoset:
             if any(len(row) != n for row in rows):
                 raise ValueError("leq matrix shape does not match label count")
             up = tuple(map(_row_int, rows))
-        if all(row >> x << x == row for x, row in enumerate(up)):
-            covers = _cover_rows_upward(up)
-            above = [tuple(_members(row)) for row in covers]
-            order = _index_order(n)  # Kahn's order, as every cover row points to higher indices
-        else:
-            covers = _cover_rows(up)
-            above = [tuple(_members(row)) for row in covers]
-            order = _topological_order(above)
+        upward = all(row >> x << x == row for x, row in enumerate(up))
+        covers = _cover_rows_upward(up) if upward else _cover_rows(up)
+        above = [tuple(_members(row)) for row in covers]
+        # every cover then points to a higher index, so Kahn's order is the index order
+        order = _index_order(n) if upward else _topological_order(above)
         if order is None or any(
             reduce(or_, map(up.__getitem__, above[x]), 1 << x) != up[x] for x in reversed(order)
         ):
@@ -581,24 +578,26 @@ def _cover_rows(up: Sequence[int]) -> tuple[int, ...]:
 def _cover_rows_upward(up: Sequence[int]) -> tuple[int, ...]:
     """``_cover_rows`` for rows whose index order is a linear extension.
 
-    Every row holds only its own index and higher ones.  The lowest bit y
-    of what is left of x's strict up row is then minimal in it, so it is
-    an upper cover of x, and everything above y is dropped.  That takes
-    O(covers) big-int operations, where ``_cover_rows`` takes one OR per
-    comparable pair.  y's own bit is cleared even where row y lacks it,
-    so rows that are no order still end the loop, and then fail the
+    Every row holds only its own index and higher ones.  Start from x's
+    strict up row, and repeatedly pick its lowest bit y left and drop y
+    and everything above y.  Each y is an upper cover of x: an element
+    strictly between has a lower index, so it was either left, and then
+    picked first, or dropped with some element below it, which drops y
+    too.  Every other element lies above some cover and is dropped.  That
+    takes O(covers) big-int operations, where ``_cover_rows`` takes one OR
+    per comparable pair.  y's own bit is dropped even where row y lacks
+    it, so rows that are no order still end the loop, and then fail the
     check of ``FinitePoset``.
     """
     covers = []
     for x, row in enumerate(up):
-        strict = rest = row & ~(1 << x)
-        beyond = 0
+        rest = row & ~(1 << x)
+        cover = 0
         while rest:
             low = rest & -rest
-            above_y = up[low.bit_length() - 1]
-            beyond |= above_y & ~low
-            rest &= ~(above_y | low)
-        covers.append(strict & ~beyond)
+            cover |= low
+            rest &= ~(up[low.bit_length() - 1] | low)
+        covers.append(cover)
     return tuple(covers)
 
 

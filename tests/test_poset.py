@@ -242,7 +242,7 @@ def _index_order_is_linear_extension(P: FinitePoset) -> bool:
 
 
 def _reversed(P: FinitePoset) -> FinitePoset:
-    """P with its indices reversed, so that every higher index lies below no lower one."""
+    """P with its element order reversed: reversed chain(n) lists its top first."""
     return FinitePoset(P.labels[::-1], tuple(tuple(row[::-1]) for row in P.leq[::-1]))
 
 
