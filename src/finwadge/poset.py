@@ -412,11 +412,9 @@ def build_poset(labels: Sequence[str], covers: Sequence[tuple[str, str]]) -> Fin
     int rows, which the poset then stores as its order unconverted.  The
     rows are closed from the top of Kahn's order of the pairs: each row
     ORs in the closed rows of its direct successors, O(n + pairs) ORs in
-    all.  When every pair goes from a lower to a higher index, the index
-    order is already topological and no Kahn pass runs.  Pairs with a
-    cycle have no such order; their rows are closed by Warshall's pass
-    instead, so that FinitePoset rejects the closure with CycleError on
-    the same first bad pair.
+    all.  Pairs with a cycle have no such order; their rows are closed by
+    Warshall's pass instead, so that FinitePoset rejects the closure with
+    CycleError on the same first bad pair.
     """
     labels = tuple(str(x) for x in labels)
     if len(set(labels)) != len(labels):
@@ -424,7 +422,6 @@ def build_poset(labels: Sequence[str], covers: Sequence[tuple[str, str]]) -> Fin
     index = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
     succ = [0] * n
-    upward = True  # every pair goes from a lower to a higher index
     for pair in covers:
         lo, hi = (str(pair[0]), str(pair[1]))
         if lo not in index:
@@ -433,15 +430,11 @@ def build_poset(labels: Sequence[str], covers: Sequence[tuple[str, str]]) -> Fin
             raise UnknownElement(f"cover pair refers to unknown element {hi!r}")
         if lo == hi:
             raise CycleError(f"cover pair ({lo!r}, {hi!r}) is a loop")
-        upward = upward and index[lo] < index[hi]
         succ[index[lo]] |= 1 << index[hi]
     above = [tuple(_members(row)) for row in succ]
-    if upward:
-        order = _index_order(n)
-    else:
-        order = _topological_order(above)
-        if order is None:
-            return FinitePoset(labels, _warshall_closure(succ))
+    order = _topological_order(above)
+    if order is None:
+        return FinitePoset(labels, _warshall_closure(succ))
     up = [0] * n
     for x in reversed(order):
         up[x] = reduce(or_, map(up.__getitem__, above[x]), 1 << x)
