@@ -282,25 +282,6 @@ def test_lowest_bit_picks_end_on_rows_without_their_own_bit():
         FinitePoset(("a", "b"), (0b11, 0b00))
 
 
-def test_build_poset_on_acyclic_pairs_matches_warshall():
-    # the closure along Kahn's order equals Warshall's, both on pairs from a
-    # lower to a higher index and on the same pairs under a relabelling
-    for seed in range(200):
-        rng = random.Random(seed)
-        n = rng.randint(1, 40)
-        place = list(range(n))
-        if seed % 2:
-            rng.shuffle(place)
-        labels = tuple(f"e{i}" for i in range(n))
-        succ = [0] * n
-        pairs = []
-        for _ in range(rng.randint(0, 3 * n) if n > 1 else 0):
-            i, j = (place[k] for k in sorted(rng.sample(range(n), 2)))
-            succ[i] |= 1 << j
-            pairs.append((labels[i], labels[j]))
-        assert build_poset(labels, pairs)._up_int == poset._warshall_closure(succ), pairs
-
-
 def test_order_is_stored_once_as_int_rows(tmp_path):
     # constructors, loading and the searches never build the bool matrix
     path = tmp_path / "fan2.json"
