@@ -31,7 +31,6 @@ from .hierarchy import ORACLE_DEFAULT_CAP, DiffLevel, longest_alternating_chain,
 from .verify import SUITES, run_suite
 from .wadge import (
     ReducibilityKind,
-    all_subsets,
     constant_partitions,
     degree_structure,
     subset_quotient,
@@ -40,6 +39,7 @@ from .wadge import (
 
 SPACE_OPENS_CAP = 16
 DEGREES_ALL_CAP = 6
+KIND_HELP = "reducing maps: wadge, the continuous (monotone) maps; any, all self-maps (default: wadge)"
 
 
 def _emit(args, payload, dot=None) -> int:
@@ -107,13 +107,13 @@ def cmd_reduce(args) -> int:
     return 0
 
 
-def _degrees_report(X, D):
-    """The JSON report of a quotient: a representative and a size per class."""
+def _degrees_report(X, D, kind):
+    """The JSON report of a quotient under kind: a representative and a size per class."""
     diag = D.diagnostics
     # "has_infinite_descending" and "finite_wqo" are constants of a finite
     # structure, kept because perfbench/goldens.json pins this stdout
     return {
-        "kind": D.kind.value,
+        "kind": kind.value,
         "items": D.item_count,
         "classes": [
             {"representative": render_item(X, rep), "size": size}
@@ -140,15 +140,13 @@ def cmd_degrees(args) -> int:
     X = doc.space
     kind = ReducibilityKind(args.kind)
     if args.all:
-        if kind is ReducibilityKind.WADGE:
-            D = subset_quotient(X, cap=args.cap)  # the level census; no subset is built
-        else:
-            D = degree_structure(X, all_subsets(X, cap=args.cap), kind)
+        X = kind.order(X)  # same labels, so the report reads the same
+        D = subset_quotient(X, cap=args.cap)  # the level census; no subset is built
     elif args.subsets:
         D = degree_structure(X, [parse_subset(doc, token) for token in args.subsets], kind)
     else:
         raise FinWadgeError("give --all or at least one subset")
-    return _emit(args, _degrees_report(X, D), lambda: degrees_to_dot(X, D))
+    return _emit(args, _degrees_report(X, D, kind), lambda: degrees_to_dot(X, D))
 
 
 def cmd_partitions(args) -> int:
@@ -164,8 +162,9 @@ def cmd_partitions(args) -> int:
         items = [parse_partition(X, token, args.k) for token in args.partitions]
     else:
         raise FinWadgeError("give --constants or at least one partition")
-    D = degree_structure(X, items, ReducibilityKind(args.kind))
-    return _emit(args, _degrees_report(X, D), lambda: degrees_to_dot(X, D))
+    kind = ReducibilityKind(args.kind)
+    D = degree_structure(X, items, kind)
+    return _emit(args, _degrees_report(X, D, kind), lambda: degrees_to_dot(X, D))
 
 
 def cmd_gallery(args) -> int:
@@ -227,14 +226,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("document")
     p.add_argument("source")
     p.add_argument("target")
-    p.add_argument("--kind", choices=[k.value for k in ReducibilityKind], default="wadge")
+    p.add_argument("--kind", choices=[k.value for k in ReducibilityKind], default="wadge", help=KIND_HELP)
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("degrees", help="quotient degree structure of subsets")
     p.add_argument("document")
     p.add_argument("subsets", nargs="*")
     p.add_argument("--all", action="store_true", help="use every subset of the space")
-    p.add_argument("--kind", choices=[k.value for k in ReducibilityKind], default="wadge")
+    p.add_argument("--kind", choices=[k.value for k in ReducibilityKind], default="wadge", help=KIND_HELP)
     p.add_argument("--cap", type=int, default=DEGREES_ALL_CAP)
     p.add_argument("--dot", default=None)
     p.add_argument("--out", default=None)
@@ -245,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("partitions", nargs="*", help="color strings in element-index order")
     p.add_argument("-k", type=int, required=True, help="number of colors, 1 to 10")
     p.add_argument("--constants", action="store_true", help="use the k constant partitions")
-    p.add_argument("--kind", choices=[k.value for k in ReducibilityKind], default="wadge")
+    p.add_argument("--kind", choices=[k.value for k in ReducibilityKind], default="wadge", help=KIND_HELP)
     p.add_argument("--dot", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_partitions)

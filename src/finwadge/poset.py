@@ -114,9 +114,10 @@ class FinitePoset:
     reduction, are views derived from the rows on first use; their bool
     rows come from a bounded cache, so posets of one size share them.
     The down rows, the cover rows, the linear extension ``linext`` and
-    the ``space_id`` fingerprint (of the labels and the int rows) are
-    built at construction; the other index structures are derived on
-    first use and then reused by all operations.
+    the ``space_id`` fingerprint are built at construction; the other
+    index structures are derived on first use and then reused by all
+    operations.  The fingerprint hashes the labels, then the int rows as
+    bytes (not as decimals, which Python refuses past 4,300 digits).
 
     Construction makes one topological pass over the cover edges.  The
     cover rows C are read off the int rows U.  ``linext`` is Kahn's order
@@ -178,15 +179,16 @@ class FinitePoset:
         for x in order:
             for y in above[x]:
                 down[y] |= down[x]
-        linext = tuple(order)
-        if linext == _index_order(n):
-            linext = _index_order(n)  # one tuple per size, as all_posets makes many
-        object.__setattr__(self, "linext", linext)
+        # tuple() keeps _index_order's tuple, one per size, as all_posets makes many
+        object.__setattr__(self, "linext", tuple(order))
         object.__setattr__(self, "_up_int", up)
         object.__setattr__(self, "_down_int", tuple(down))
         object.__setattr__(self, "_cover_int", covers)
-        fingerprint = hashlib.sha256(repr((self.labels, up)).encode()).hexdigest()[:16]
-        object.__setattr__(self, "space_id", fingerprint)
+        fingerprint = hashlib.sha256(repr(self.labels).encode())
+        width = (n + 7) // 8
+        for row in up:
+            fingerprint.update(row.to_bytes(width, "little"))
+        object.__setattr__(self, "space_id", fingerprint.hexdigest()[:16])
 
     # -- basic accessors -------------------------------------------------
 
@@ -250,6 +252,11 @@ class FinitePoset:
     def hasse_edges(self) -> tuple[tuple[int, int], ...]:
         """Cover pairs (lower, upper), sorted by index."""
         return tuple((i, j) for i, above in enumerate(self._cover_above) for j in above)
+
+    @cached_property
+    def discrete(self) -> "FinitePoset":
+        """The antichain on these labels, for which every self-map is monotone."""
+        return FinitePoset(self.labels, tuple(1 << i for i in range(self.n)))
 
     # -- mask constructors -----------------------------------------------
 

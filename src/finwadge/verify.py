@@ -15,7 +15,7 @@ from .enumeration import POSET_COUNTS, all_posets
 from .errors import CapExceeded
 from .hierarchy import classify, oracle_level
 from .poset import FinitePoset
-from .wadge import ReducibilityKind, _reduction, _signatures, all_subsets, subset_quotient
+from .wadge import _reduction, _signatures, all_subsets, subset_quotient
 
 MAX_ENUM_SIZE = 5
 
@@ -97,10 +97,9 @@ def suite_duality(max_size: int) -> VerifyResult:
     is called here only in the level check, which tests ``classify`` itself.
     """
     result = VerifyResult("duality", 0)
-    wadge = ReducibilityKind.WADGE
     for P in _types(result, max_size):
         subsets = all_subsets(P)
-        sig = dict(zip((A.value for A in subsets), _signatures(P, wadge, subsets)))
+        sig = dict(zip((A.value for A in subsets), _signatures(P, subsets)))
         for A in subsets:
             lv = classify(P, A)
             lv_c = classify(P, A.complement())
@@ -111,10 +110,10 @@ def suite_duality(max_size: int) -> VerifyResult:
             A_c = A.complement()
             for B in subsets:
                 B_c = B.complement()
-                f = _reduction(P, wadge, A, B, sig[A.value], sig[B.value])
+                f = _reduction(P, A, B, sig[A.value], sig[B.value])
                 result.checked += 1
                 if f is None:
-                    if _reduction(P, wadge, A_c, B_c, sig[A_c.value], sig[B_c.value]) is not None:
+                    if _reduction(P, A_c, B_c, sig[A_c.value], sig[B_c.value]) is not None:
                         result.findings.append(
                             f"reduction duality fails on {_describe(P)}: "
                             f"{P.members(A)} vs {P.members(B)}"

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import ClassVar, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import CapExceeded, ColorCountMismatch, SpaceMismatch
 from .hierarchy import DiffLevel, _element_slice, _set_bits, classify, level_leq, subset_levels
@@ -22,13 +22,18 @@ from .poset import FinitePoset, SubsetMask, _subset_order
 class ReducibilityKind(Enum):
     """Reducing function class: monotone maps, or all self-maps.
 
-    On finite T0 spaces every self-map belongs to the level-2 piecewise
-    class, so ALL_FUNCTIONS is the only coarser reducibility that is
-    distinguishable from the continuous one at this scale.
+    Every subset of a finite T0 space is Delta^0_2, so for beta >= 2 the
+    Delta^0_beta reductions are all the self-maps.  These are the monotone
+    maps of the discrete order, so ``order`` turns a kind into the order
+    that the engine searches, and nothing below it takes a kind.
     """
 
     WADGE = "wadge"
     ALL_FUNCTIONS = "any"
+
+    def order(self, X: FinitePoset) -> FinitePoset:
+        """The order whose monotone maps are this kind's reductions on X."""
+        return X if self is ReducibilityKind.WADGE else X.discrete
 
 
 @dataclass(frozen=True)
@@ -134,8 +139,9 @@ def wadge_reduces(
     """
     X.check_mask(A)
     X.check_mask(B)
-    sa, sb = _signatures(X, kind, (A, B))
-    return _reduction(X, kind, A, B, sa, sb)
+    Y = kind.order(X)
+    sa, sb = _signatures(Y, (A, B))
+    return _reduction(Y, A, B, sa, sb)
 
 
 def partition_reduces(X: FinitePoset, mu: KPartition, nu: KPartition) -> Optional[MonotoneMap]:
@@ -151,8 +157,9 @@ def _partition_reduces(
     X: FinitePoset, mu: KPartition, nu: KPartition, kind: ReducibilityKind
 ) -> Optional[MonotoneMap]:
     _check_partitions(X, mu, nu)
-    smu, snu = _signatures(X, kind, (mu, nu))
-    return _reduction(X, kind, mu, nu, smu, snu)
+    Y = kind.order(X)
+    smu, snu = _signatures(Y, (mu, nu))
+    return _reduction(Y, mu, nu, smu, snu)
 
 
 def _check_partitions(X: FinitePoset, mu: KPartition, nu: KPartition) -> None:
@@ -164,46 +171,44 @@ def _check_partitions(X: FinitePoset, mu: KPartition, nu: KPartition) -> None:
         raise ColorCountMismatch(f"color counts differ: {mu.k} vs {nu.k}")
 
 
-def _signatures(X: FinitePoset, kind: ReducibilityKind, items: Sequence[Item]) -> list[tuple[DiffLevel, ...]]:
-    """The level signature of each item, the key of every prefilter.
+def _signatures(X: FinitePoset, items: Sequence[Item]) -> list[tuple[DiffLevel, ...]]:
+    """The level signature of each item in the order X, the key of every prefilter.
 
-    Under WADGE it is the difference level of a subset and the tuple of
-    its color classes' levels for a partition; under ALL_FUNCTIONS it is
-    ``()``, as levels are not closed under arbitrary preimages.  The
-    level of a complement is its set's level with the two ranks swapped,
-    so ``classify`` runs on at most one set of each complement pair.
+    It is the difference level of a subset and the tuple of its color
+    classes' levels for a partition, each set classified as a mask of X
+    (``ReducibilityKind.order``).  The level of a complement is its set's
+    level with the two ranks swapped, so ``classify`` runs on at most one
+    set of each complement pair.
     """
-    if kind is not ReducibilityKind.WADGE:
-        return [()] * len(items)
     full = (1 << X.n) - 1
     levels: dict[int, DiffLevel] = {}
     sigs = []
     for item in items:
         sig = []
-        for mask in (item,) if isinstance(item, SubsetMask) else map(item.color_class, range(item.k)):
-            level = levels.get(mask.value)
+        values = (item.value,) if isinstance(item, SubsetMask) else [item.color_class(c).value for c in range(item.k)]
+        for value in values:
+            level = levels.get(value)
             if level is None:
-                dual = levels.get(mask.value ^ full)
-                level = classify(X, mask) if dual is None else dual.complement()
-                levels[mask.value] = level
+                dual = levels.get(value ^ full)
+                level = classify(X, X.mask_from_int(value)) if dual is None else dual.complement()
+                levels[value] = level
             sig.append(level)
         sigs.append(tuple(sig))
     return sigs
 
 
-def _reduction(
-    X: FinitePoset, kind: ReducibilityKind, a: Item, b: Item, sa: tuple, sb: tuple
-) -> Optional[MonotoneMap]:
-    """The kernel's witness that item a reduces to item b, or None.
+def _reduction(X: FinitePoset, a: Item, b: Item, sa: tuple, sb: tuple) -> Optional[MonotoneMap]:
+    """The kernel's witness that item a reduces to item b in the order X, or None.
 
     sa and sb are the items' level signatures (``_signatures``).  Levels
     are closed under continuous preimages, so a reduction needs every
     entry of sa at or below the same entry of sb, and the search runs
-    only when they are.
+    only when they are.  The witness belongs to the items' space.
     """
     if not all(map(level_leq, sa, sb)):
         return None
-    return _first_map(X, _domains(X, a, b), kind)
+    image = _search_map(X, _domains(X, a, b))
+    return None if image is None else MonotoneMap(a.space_id, image)
 
 
 def _domains(X: FinitePoset, a: Item, b: Item) -> list[int]:
@@ -216,23 +221,6 @@ def _domains(X: FinitePoset, a: Item, b: Item) -> list[int]:
     for x, c in enumerate(b.colors):
         classes[c] |= 1 << x
     return [classes[c] for c in a.colors]
-
-
-def _first_map(
-    X: FinitePoset, domains: Sequence[int], kind: ReducibilityKind
-) -> Optional[MonotoneMap]:
-    """First map with f(x) in domains[x], monotone for the WADGE kind.
-
-    Without the order constraint the elements are independent, so the
-    first solution sends each x to the lowest index in its domain.
-    """
-    if kind is ReducibilityKind.WADGE:
-        image = _search_map(X, domains)
-    elif all(domains):
-        image = tuple((d & -d).bit_length() - 1 for d in domains)
-    else:
-        image = None
-    return None if image is None else MonotoneMap(X.space_id, image)
 
 
 def _arc_consistent(X: FinitePoset, domains: Sequence[int]) -> Optional[list[int]]:
@@ -423,7 +411,7 @@ class DegreeStructure:
 
 @dataclass(frozen=True)
 class SubsetQuotient:
-    """Quotient of all subsets of a space under WADGE, without the subsets.
+    """Quotient of all subsets of an order under its monotone maps, without the subsets.
 
     Per class: its representative, the first member in ``all_subsets``
     order; its size; and its difference level.  Classes are numbered in
@@ -431,7 +419,6 @@ class SubsetQuotient:
     and ``diagnostics`` relate them as in ``DegreeStructure``.
     """
 
-    kind: ClassVar[ReducibilityKind] = ReducibilityKind.WADGE
     class_reps: tuple[SubsetMask, ...]
     class_sizes: tuple[int, ...]
     class_levels: tuple[DiffLevel, ...]
@@ -464,10 +451,11 @@ def degree_structure(
 ) -> DegreeStructure:
     """Quotient order of the items under the chosen reducibility.
 
-    Each item gets one level signature (``_signatures``), and
+    The reductions are the monotone maps of ``kind.order(X)``.  Each
+    item gets one level signature in that order (``_signatures``), and
     ``_quotient`` groups the items by it.
 
-    Subsets under WADGE need no search outside equal Delta levels: for
+    Subsets need no search outside equal Delta levels: for
     subsets A, B of a finite poset, B reduces to A iff level_leq(B, A),
     unless both are ProperDelta(k) with the same k.  Proof: let b(x) be
     the longest B-alternating chain that ends at x and starts inside B.
@@ -500,7 +488,8 @@ def degree_structure(
             X.check_mask(item)
         else:
             _check_partitions(X, item, items[0])
-    classes, strict, hasse, diagnostics = _quotient(X, kind, items, _signatures(X, kind, items))
+    Y = kind.order(X)
+    classes, strict, hasse, diagnostics = _quotient(Y, items, _signatures(Y, items))
     return DegreeStructure(items, kind, classes, strict, hasse, diagnostics)
 
 
@@ -508,7 +497,7 @@ CENSUS_MAX_SIZE = 24
 
 
 def subset_quotient(X: FinitePoset, cap: Optional[int] = None) -> SubsetQuotient:
-    """The quotient of all subsets of X under WADGE, from the level census.
+    """The quotient of all subsets of the order X, from the level census.
 
     It equals ``degree_structure(X, all_subsets(X))`` class by class, but
     only the members of ProperDelta(k) levels with k >= 2 are ever
@@ -522,7 +511,8 @@ def subset_quotient(X: FinitePoset, cap: Optional[int] = None) -> SubsetQuotient
 
     The census holds ints of 2^n bits, a few dozen at a time, so memory
     limits n to CENSUS_MAX_SIZE; a larger space raises CapExceeded, as
-    does one beyond ``cap``, the cap of ``all_subsets``.
+    does one beyond ``cap``, the cap of ``all_subsets``.  On ``X.discrete``
+    every nonempty proper set is ProperDelta(1), so no search runs.
     """
     _check_subset_cap(X, cap)
     if X.n > CENSUS_MAX_SIZE:
@@ -534,7 +524,7 @@ def subset_quotient(X: FinitePoset, cap: Optional[int] = None) -> SubsetQuotient
     found.sort(key=lambda pair: _subset_order(pair[0]))
     items = [X.mask_from_int(v) for v, _ in found]
     sigs = [(level,) for _, level in found]
-    classes, strict, hasse, diagnostics = _quotient(X, ReducibilityKind.WADGE, items, sigs)
+    classes, strict, hasse, diagnostics = _quotient(X, items, sigs)
     levels = tuple(sigs[c[0]][0] for c in classes)
     sizes = tuple(len(c) if _may_split(lv) else census[lv].bit_count() for lv, c in zip(levels, classes))
     return SubsetQuotient(tuple(items[c[0]] for c in classes), sizes, levels, strict, hasse, diagnostics)
@@ -583,16 +573,16 @@ def _first_members(n: int, indicators: Sequence[int]) -> list[int]:
     return firsts
 
 
-def _below(X: FinitePoset, kind: ReducibilityKind, a: Item, sa: tuple, b: Item, sb: tuple) -> bool:
-    """Whether item a reduces to item b, given their level signatures.
+def _below(X: FinitePoset, a: Item, sa: tuple, b: Item, sb: tuple) -> bool:
+    """Whether item a reduces to item b in the order X, given their level signatures.
 
-    Between subsets under WADGE the levels decide it unless both sets are
+    Between subsets the levels decide it unless both sets are
     ProperDelta(k) for one k >= 2 (the level theorem of
     ``degree_structure``); every other pair goes to ``_reduction``.
     """
-    if kind is ReducibilityKind.WADGE and isinstance(a, SubsetMask) and (sa != sb or not _may_split(sa[0])):
+    if isinstance(a, SubsetMask) and (sa != sb or not _may_split(sa[0])):
         return level_leq(sa[0], sb[0])
-    return _reduction(X, kind, a, b, sa, sb) is not None
+    return _reduction(X, a, b, sa, sb) is not None
 
 
 def _may_split(level: DiffLevel) -> bool:
@@ -601,12 +591,12 @@ def _may_split(level: DiffLevel) -> bool:
 
 
 def _quotient(
-    X: FinitePoset, kind: ReducibilityKind, items: Sequence[Item], sigs: Sequence[tuple]
+    X: FinitePoset, items: Sequence[Item], sigs: Sequence[tuple]
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], Diagnostics]:
     """Classes of mutual reducibility among the items, their order and its diagnostics.
 
     sigs[i] is the level signature of items[i] (``_signatures``).  Three
-    passes run.  Grouping: mutual WADGE reducibility implies equal
+    passes run.  Grouping: mutual reducibility implies equal
     signatures, so an item looks for its home class only among classes
     with an equal one, and the first whose representative it is
     equivalent to takes it in.  Each class lists its item indices in item
@@ -632,7 +622,7 @@ def _quotient(
         peers = by_signature.setdefault(sig, [])
         for home in peers:
             peer = items[classes[home][0]]
-            if _below(X, kind, item, sig, peer, sig) and _below(X, kind, peer, sig, item, sig):
+            if _below(X, item, sig, peer, sig) and _below(X, peer, sig, item, sig):
                 break
         else:
             home = len(classes)
@@ -641,7 +631,7 @@ def _quotient(
         classes[home].append(idx)
     reps = [(items[c[0]], sigs[c[0]]) for c in classes]  # (representative, its signature)
     rows = [
-        sum(1 << j for j, (b, sb) in enumerate(reps) if j == i or _below(X, kind, a, sa, b, sb))
+        sum(1 << j for j, (b, sb) in enumerate(reps) if j == i or _below(X, a, sa, b, sb))
         for i, (a, sa) in enumerate(reps)
     ]
     k = len(rows)
@@ -658,7 +648,7 @@ def _quotient(
             (i, j)
             for i in range(k)
             for j, (comp, dual) in enumerate(duals)
-            if not up[i] >> j & 1 and not _below(X, kind, comp, dual, *reps[i])
+            if not up[i] >> j & 1 and not _below(X, comp, dual, *reps[i])
         )
     diagnostics = Diagnostics(max_antichain=_width(up), slo_violations=slo)
     return tuple(map(tuple, classes)), strict, hasse, diagnostics

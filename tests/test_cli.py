@@ -116,7 +116,7 @@ def test_degrees_fan3_stdout_is_pinned(capsys, tmp_path):
 
 def test_degrees_all_fan3_uses_the_census(capsys, tmp_path, monkeypatch):
     """degrees --all classifies no set, runs no search and builds no list of subsets."""
-    from finwadge import cli, hierarchy, wadge
+    from finwadge import hierarchy, wadge
 
     calls = {"classify": 0, "search": 0, "all_subsets": 0}
 
@@ -129,8 +129,8 @@ def test_degrees_all_fan3_uses_the_census(capsys, tmp_path, monkeypatch):
 
     for module in (hierarchy, wadge):
         monkeypatch.setattr(module, "classify", counted("classify", module.classify))
-    monkeypatch.setattr(wadge, "_first_map", counted("search", wadge._first_map))
-    monkeypatch.setattr(cli, "all_subsets", counted("all_subsets", cli.all_subsets))
+    monkeypatch.setattr(wadge, "_search_map", counted("search", wadge._search_map))
+    monkeypatch.setattr(wadge, "all_subsets", counted("all_subsets", wadge.all_subsets))
     path = tmp_path / "fan3.json"
     built = fan(3)
     save_document(PosetDocument(built.space, dict(built.sets)), path)
@@ -456,6 +456,18 @@ def test_degrees_all_kind_any(capsys, chain2_doc):
     report = json.loads(out)
     assert report["kind"] == "any" and report["items"] == 4
     assert [c["size"] for c in report["classes"]] == [1, 2, 1]
+
+
+def test_degrees_all_kind_any_on_chain20_needs_no_listing(capsys, tmp_path):
+    # the census of the discrete order: the empty set, the whole space and
+    # one class of the 2^20 - 2 other sets, none of them listed
+    path = tmp_path / "c20.json"
+    save_document(PosetDocument(chain(20)), path)
+    code, out = run(capsys, "degrees", str(path), "--all", "--kind", "any", "--cap", "20")
+    assert code == 0
+    report = json.loads(out)
+    assert report["kind"] == "any" and report["items"] == 1 << 20
+    assert [c["size"] for c in report["classes"]] == [1, 1048574, 1]
 
 
 def test_degrees_all_kind_any_beyond_the_default_cap_exits_2(capsys, tmp_path):

@@ -28,7 +28,7 @@ class Rule(NamedTuple):
 
 
 RULES = [
-    Rule("kernel", {"_first_map", "_domains"}, set(), {"wadge.py"},
+    Rule("kernel", {"_domains"}, set(), {"wadge.py"},
          "every pair decision goes through wadge._reduction or wadge._below; a second caller could fork that rule"),
     Rule("census-slices", {"_set_bits", "_element_slice"}, set(), {"hierarchy.py", "wadge.py"},
          "every item's prefilter key comes from wadge._signatures; a second reader could build a second key table"),
@@ -37,7 +37,7 @@ RULES = [
     Rule("writers", set(), {"write_text"}, {"cli.py:_emit", "documents.py:save_document"},
          "_emit writes every file before stdout; a function writing on its own could print first and fail afterwards"),
     Rule("search", {"_search_map"}, set(), {"wadge.py", "enumeration.py"},
-         "one monotone-map search, run by wadge._first_map and enumeration.random_retraction; no third caller"),
+         "one monotone-map search, run by wadge._reduction and enumeration.random_retraction; no third caller"),
     Rule("arc-consistency", {"_arc_consistent"}, set(), {"wadge.py"},
          "the root pruning of wadge._search_map; a caller outside the kernel could prune by a second rule"),
 ]
@@ -94,10 +94,10 @@ WRITES = (
 M, W = "<module>", "write_text"
 SYNTHETIC = [  # (rule, module, source, its uses outside the rule's owners)
     ("kernel", "verify.py",
-     "from .wadge import _domains, _first_map, _reduction\n"
-     "def f(P, A, B, kind):\n"
-     "    return _first_map(P, wadge._domains(P, A, B), kind), _reduction, P._first\n",
-     [(1, M, "_domains"), (1, M, "_first_map"), (3, "f", "_domains"), (3, "f", "_first_map")]),
+     "from .wadge import _domains, _reduction\n"
+     "def f(P, A, B):\n"
+     "    return _domains(P, B, A), wadge._domains(P, A, B), _reduction, P._first\n",
+     [(1, M, "_domains"), (3, "f", "_domains"), (3, "f", "_domains")]),
     ("census-slices", "cli.py",
      "from .hierarchy import _set_bits, subset_levels\n"
      "def table(P):\n"

@@ -269,7 +269,30 @@ def test_both_construction_paths_match_the_reference_covers(monkeypatch):
         assert Q._cover_int == reference_covers(Q.leq), Q.labels
         assert Q.linext == reference_linext(Q.leq), Q.labels
         n = Q.n
+        if fast:  # one index-order tuple per size, which census memory relies on
+            assert Q.linext is poset._index_order(n)
         assert Q._down_int == tuple(sum(1 << i for i in range(n) if Q.leq[i][j]) for j in range(n))
+
+
+def test_space_beyond_the_decimal_conversion_limit_builds():
+    # rows of 15,000 bits have more than 4,300 decimal digits, which Python
+    # refuses to convert; the fingerprint hashes the rows as bytes instead
+    X = chain(15000)
+    assert X.n == 15000 and X.le("0", "14999") and not X.le("14999", "0")
+    assert len(X.space_id) == 16
+
+
+def test_space_id_tells_apart_one_label_or_one_row():
+    V = build_poset("abc", [("a", "c"), ("b", "c")])
+    assert V.space_id == build_poset("abc", [("b", "c"), ("a", "c")]).space_id
+    other_label = FinitePoset(("a", "b", "d"), V._up_int)
+    other_row = build_poset("abc", [("a", "c")])  # only row b differs
+    assert V._up_int[0] == other_row._up_int[0] and V._up_int[2] == other_row._up_int[2]
+    assert len({V.space_id, other_label.space_id, other_row.space_id}) == 3
+    # rows of three bytes: one cover from the first to the last element
+    A = antichain(20)
+    linked = build_poset(A.labels, [("a0", "a19")])
+    assert A._up_int[1:] == linked._up_int[1:] and A.space_id != linked.space_id
 
 
 def test_lowest_bit_picks_end_on_rows_without_their_own_bit():

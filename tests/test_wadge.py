@@ -187,12 +187,45 @@ def test_retraction_witness_is_first_map_in_linext_order():
 
 
 def test_all_functions_closed_form_on_long_chain():
-    # the top has nowhere to go outside the full set; no search may run
+    # the top has nowhere to go outside the full set; on the discrete
+    # order the search has no edges and sends each x to its lowest target
     X = chain(40)
     below_top = X.mask_from_indices(range(39))
     assert wadge_reduces(X, below_top, X.full_mask(), ReducibilityKind.ALL_FUNCTIONS) is None
     w = wadge_reduces(X, below_top, X.mask_from_indices([5, 7]), ReducibilityKind.ALL_FUNCTIONS)
     assert w is not None and w.image == (5,) * 39 + (0,)
+
+
+def test_all_functions_witness_is_the_lowest_target_of_each_domain():
+    """The ALL_FUNCTIONS witness sends each x to the lowest target it may take.
+
+    Every ordered subset pair of every type with n <= 4, and every ordered
+    pair of 3-partitions of every type with n <= 3: the witness is that
+    closed form, and there is none exactly when some domain is empty.
+    """
+    any_kind = ReducibilityKind.ALL_FUNCTIONS
+
+    def check(P, a, b, witness):
+        domains = reference_domains(P, a, b)
+        if not all(domains):
+            assert witness is None, (P.hasse_edges(), a, b)
+            return
+        assert witness.space_id == P.space_id
+        assert witness.image == tuple((d & -d).bit_length() - 1 for d in domains), (P.hasse_edges(), a, b)
+
+    pairs = 0
+    for n in range(1, 5):
+        for P in all_posets(n):
+            for a, b in product(all_subsets(P), repeat=2):
+                pairs += 1
+                check(P, a, b, wadge_reduces(P, a, b, any_kind))
+            if n > 3:
+                continue
+            parts = [KPartition(P.space_id, 3, colors) for colors in product(range(3), repeat=n)]
+            for mu, nu in product(parts, repeat=2):
+                pairs += 1
+                check(P, mu, nu, _partition_reduces(P, mu, nu, any_kind))
+    assert pairs == 4 + 2 * 16 + 5 * 64 + 16 * 256 + 9 + 2 * 81 + 5 * 729
 
 
 def test_all_functions_partition_missing_color():
@@ -283,7 +316,7 @@ def test_sigma_and_pi_labels_never_split():
                     continue
                 for a, b in ((A, rep), (rep, A)):
                     searches += 1
-                    found = wadge._first_map(P, wadge._domains(P, a, b), ReducibilityKind.WADGE)
+                    found = wadge._search_map(P, wadge._domains(P, a, b))
                     assert found is not None, (P.hasse_edges(), P.members(a), P.members(b))
     assert searches == 35340
 
@@ -301,13 +334,13 @@ def test_delta1_sets_never_split():
             clopen = [A for A in all_subsets(P) if classify(P, A) == DiffLevel(1, 1)]
             for a, b in product(clopen, repeat=2):
                 pairs += 1
-                found = wadge._first_map(P, wadge._domains(P, a, b), ReducibilityKind.WADGE)
+                found = wadge._search_map(P, wadge._domains(P, a, b))
                 assert found is not None, (P.hasse_edges(), P.members(a), P.members(b))
     assert pairs == 7856
 
 
 def _kernel_below(P, a, b) -> bool:
-    return wadge._first_map(P, wadge._domains(P, a, b), ReducibilityKind.WADGE) is not None
+    return wadge._search_map(P, wadge._domains(P, a, b)) is not None
 
 
 def test_below_matches_the_kernel_on_every_subset_pair():
@@ -323,7 +356,7 @@ def test_below_matches_the_kernel_on_every_subset_pair():
             sigs = [(classify(P, A),) for A in subs]
             for (a, sa), (b, sb) in product(zip(subs, sigs), repeat=2):
                 pairs += 1
-                got = wadge._below(P, ReducibilityKind.WADGE, a, sa, b, sb)
+                got = wadge._below(P, a, sa, b, sb)
                 assert got == _kernel_below(P, a, b), (P.hasse_edges(), P.members(a), P.members(b))
     assert pairs == 68964
 
@@ -337,7 +370,7 @@ def test_below_matches_the_kernel_on_every_three_partition_pair():
             sigs = [tuple(classify(P, mu.color_class(c)) for c in range(3)) for mu in parts]
             for (mu, smu), (nu, snu) in product(zip(parts, sigs), repeat=2):
                 pairs += 1
-                got = wadge._below(P, ReducibilityKind.WADGE, mu, smu, nu, snu)
+                got = wadge._below(P, mu, smu, nu, snu)
                 assert got == _kernel_below(P, mu, nu), (P.hasse_edges(), mu.colors, nu.colors)
     assert pairs == 9 + 2 * 81 + 5 * 729
 
@@ -466,15 +499,19 @@ def test_chain2_structure(small_poset_zoo):
     assert len(D.strict_order) == 4
 
 
-def test_all_functions_three_classes():
+def test_all_functions_three_classes(monkeypatch):
+    # on the discrete order the levels decide every pair, so no search runs
+    searches = []
+    domains = wadge._domains
+    monkeypatch.setattr(wadge, "_domains", lambda *args: searches.append(args) or domains(*args))
     rng = random.Random(230031)
-    for _ in range(10):
-        P = random_poset(rng, rng.randint(2, 6))
+    for P in [random_poset(rng, rng.randint(2, 6)) for _ in range(10)] + [fan(2).space]:
         D = degree_structure(P, all_subsets(P), ReducibilityKind.ALL_FUNCTIONS)
         assert D.class_count == 3
         sizes = sorted(len(c) for c in D.classes)
         assert sizes == [1, 1, 2**P.n - 2]
         assert len(D.minimal_classes()) == 2
+    assert searches == []
 
 
 def test_structure_label_fields(small_poset_zoo):
@@ -608,7 +645,7 @@ def test_level_degree_findings_classifies_nothing(monkeypatch):
 def _census_matches_oracle(P):
     Q = subset_quotient(P)
     D = degree_structure(P, all_subsets(P))
-    assert _degrees_report(P, Q) == _degrees_report(P, D)
+    assert _degrees_report(P, Q, ReducibilityKind.WADGE) == _degrees_report(P, D, ReducibilityKind.WADGE)
     assert degrees_to_dot(P, Q) == degrees_to_dot(P, D)
     assert Q.class_levels == tuple(classify(P, R) for R in D.class_reps)
 
@@ -655,7 +692,7 @@ def test_fan5_quotient_is_pinned():
 def test_antichain20_quotient_needs_no_search(monkeypatch):
     """antichain(20): its 1,048,574 clopen subsets form one class, decided without the kernel."""
     searches = []
-    monkeypatch.setattr(wadge, "_first_map", lambda *args: searches.append(args))
+    monkeypatch.setattr(wadge, "_search_map", lambda *args: searches.append(args))
     Q = subset_quotient(antichain(20))
     assert Q.class_sizes == (1, 1048574, 1)
     assert [lv.label for lv in Q.class_levels] == ["ProperSigma(0)", "ProperDelta(1)", "ProperPi(0)"]
@@ -678,11 +715,11 @@ def test_duality_pairs_match_wadge_reduces():
     for n in range(1, 5):
         for P in all_posets(n):
             subsets = all_subsets(P)
-            sigs = dict(zip((A.value for A in subsets), wadge._signatures(P, ReducibilityKind.WADGE, subsets)))
+            sigs = dict(zip((A.value for A in subsets), wadge._signatures(P, subsets)))
             assert sigs == {A.value: (classify(P, A),) for A in subsets}
             for A in subsets:
                 for B in subsets:
-                    found = _reduction(P, ReducibilityKind.WADGE, A, B, sigs[A.value], sigs[B.value])
+                    found = _reduction(P, A, B, sigs[A.value], sigs[B.value])
                     assert found == wadge_reduces(P, A, B)
 
 
@@ -890,18 +927,20 @@ def test_degree_structure_matches_reference_oracle(case):
 def test_non_transitive_relation_is_rejected(monkeypatch):
     """A search result that breaks transitivity fails the order's validation."""
     X = antichain(3)
-    items = [X.mask_from_indices([i]) for i in range(3)]  # no complement is an item
+    # the 2-partitions of the singletons {ai}: every color class is clopen,
+    # so all three share one signature and every pair goes to the search
+    items = [KPartition.from_subset(X.mask_from_indices([i])) for i in range(3)]
     reduced = {(0, 1), (1, 2)}  # {a0} < {a1} < {a2}, but not {a0} < {a2}
 
-    def fake_first_map(P, domains, kind):
+    def fake_search_map(P, domains):
         # the domains of {ai} into {aj}: element i may only go to j
         i = next(x for x, d in enumerate(domains) if d.bit_count() == 1)
         j = domains[i].bit_length() - 1
-        return MonotoneMap(P.space_id, (j,) * P.n) if (i, j) in reduced else None
+        return (j,) * P.n if (i, j) in reduced else None
 
-    monkeypatch.setattr(wadge, "_first_map", fake_first_map)
+    monkeypatch.setattr(wadge, "_search_map", fake_search_map)
     with pytest.raises(ValueError, match="transitive"):
-        degree_structure(X, items, ReducibilityKind.ALL_FUNCTIONS)
+        degree_structure(X, items, ReducibilityKind.WADGE)
 
 
 def test_fan3_quotient_is_decided(monkeypatch):
@@ -914,7 +953,7 @@ def test_fan3_quotient_is_decided(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(wadge, "_first_map", counted("search", wadge._first_map))
+    monkeypatch.setattr(wadge, "_search_map", counted("search", wadge._search_map))
     monkeypatch.setattr(wadge, "classify", counted("classify", wadge.classify))
     X = fan(3).space
     items = all_subsets(X, cap=12)
@@ -980,7 +1019,7 @@ def test_subset_quotient_width_matches_reference_max_clique():
             assert Q.diagnostics.max_antichain == reference_max_clique(_incomparability(up))
 
 
-def _three_partition_quotient(monkeypatch, X):
+def _three_partition_quotient(monkeypatch, X, kind=ReducibilityKind.WADGE):
     """The quotient of all 3-partitions of X and its kernel searches, counted at ``_domains``."""
     searches = []
     domains = wadge._domains
@@ -990,7 +1029,7 @@ def _three_partition_quotient(monkeypatch, X):
         return domains(P, a, b)
 
     monkeypatch.setattr(wadge, "_domains", spy)
-    D = degree_structure(X, [KPartition(X.space_id, 3, c) for c in product(range(3), repeat=X.n)])
+    D = degree_structure(X, [KPartition(X.space_id, 3, c) for c in product(range(3), repeat=X.n)], kind)
     monkeypatch.undo()
     return D, len(searches)
 
@@ -1004,13 +1043,19 @@ def test_fan2_all_three_partitions_quotient_is_pinned(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "covers, classes, searches",
-    [([(2, 3), (3, 4)], 37, 670), ([(0, 4), (1, 4), (2, 3)], 48, 957)],
-    ids=["chain3+2", "V+chain2"],
+    "covers, kind, classes, searches",
+    [
+        ([(2, 3), (3, 4)], ReducibilityKind.WADGE, 37, 670),
+        ([(0, 4), (1, 4), (2, 3)], ReducibilityKind.WADGE, 48, 957),
+        # on the discrete order the classes are the sets of colors used
+        ([(2, 3), (3, 4)], ReducibilityKind.ALL_FUNCTIONS, 7, 484),
+        ([(0, 4), (1, 4), (2, 3)], ReducibilityKind.ALL_FUNCTIONS, 7, 484),
+    ],
+    ids=["chain3+2", "V+chain2", "chain3+2-any", "V+chain2-any"],
 )
-def test_benchmark_three_partition_quotients_are_pinned(monkeypatch, covers, classes, searches):
+def test_benchmark_three_partition_quotients_are_pinned(monkeypatch, covers, kind, classes, searches):
     """All 243 3-partitions of the benchmark's two 5-element spaces: classes and kernel searches."""
     names = [f"q{i}" for i in range(5)]
     X = build_poset(names, [(names[a], names[b]) for a, b in covers])
-    D, count = _three_partition_quotient(monkeypatch, X)
+    D, count = _three_partition_quotient(monkeypatch, X, kind)
     assert (D.class_count, count) == (classes, searches)
