@@ -138,7 +138,8 @@ def random_partition(rng: random.Random, X: FinitePoset, k: int) -> KPartition:
 def random_monotone_map(rng: random.Random, X: FinitePoset) -> MonotoneMap:
     """Random order-preserving self-map, by assignment along a linear extension.
 
-    Falls back to a constant map if a random assignment dead-ends too
+    Each image lies above the images of the element's lower covers, hence
+    above those of all its predecessors.  Falls back to a constant map if a random assignment dead-ends too
     often (possible when upper bounds run out in wide posets).
     """
     for _ in range(32):
@@ -146,7 +147,7 @@ def random_monotone_map(rng: random.Random, X: FinitePoset) -> MonotoneMap:
         ok = True
         for x in X.linext:
             allowed = (1 << X.n) - 1
-            for p in X.strict_below(x):
+            for p in X._cover_below[x]:
                 allowed &= X._up_int[image[p]]
             if not allowed:
                 ok = False

@@ -224,10 +224,6 @@ class FinitePoset:
         return tuple(tuple(_members(row & ~(1 << i))) for i, row in enumerate(self._down_int))
 
     @cached_property
-    def _strict_above(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(_members(row & ~(1 << i))) for i, row in enumerate(self._up_int))
-
-    @cached_property
     def _cover_above(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(_members(row)) for row in self._cover_int)
 

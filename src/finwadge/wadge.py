@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .errors import CapExceeded, ColorCountMismatch, SpaceMismatch
 from .hierarchy import DiffLevel, _element_slice, _set_bits, classify, level_leq, subset_levels
-from .poset import FinitePoset, SubsetMask, _subset_order
+from .poset import FinitePoset, SubsetMask, _members, _subset_order
 
 
 class ReducibilityKind(Enum):
@@ -276,20 +276,28 @@ def _arc_consistent(X: FinitePoset, domains: Sequence[int]) -> Optional[list[int
 def _search_map(X: FinitePoset, domains: Sequence[int]) -> Optional[tuple[int, ...]]:
     """First monotone map with f(x) in the bitmask domains[x], or None.
 
-    Two prunings remove only values that belong to no solution:
-    - at the root, arc consistency over the cover edges
-      (``_arc_consistent``): for each cover y < z, f(z) needs a support in
-      the up-closure of dom[y] and f(y) one in the down-closure of dom[z];
+    Monotonicity asks only f(y) <= f(z) on each cover y < z, so the cover
+    edges are the whole constraint graph.  Two prunings on it remove only
+    values that belong to no solution:
+    - at the root, arc consistency (``_arc_consistent``): for each cover
+      y < z, f(z) needs a support in the up-closure of dom[y] and f(y)
+      one in the down-closure of dom[z];
     - forward checking along X.linext: setting f(x) = t narrows the
-      domain of every strict successor of x to the up-set of t, and a
-      trail of (element, old domain) pairs undoes that on backtracking.
+      domain of each upper cover of x to the up-set of t, and a trail of
+      (element, old domain) pairs undoes that on backtracking.
     The search is depth-first along X.linext with an explicit stack, and
     the candidates at each depth are the current domain, tried lowest
     index first.  The result is therefore the first solution in
-    linear-extension order, as without the prunings.  The root pass ends
-    at the greatest arc-consistent domains, which are unique whatever
-    order it removes values in, so the witness does not depend on that
-    order either.
+    linear-extension order, as without the prunings; the root pass ends
+    at the greatest arc-consistent domains, whatever order it removes
+    values in.  Those candidates are dom[x] inside up[f(p)] for every
+    p < x, as if every strict successor were narrowed: the elements
+    before x form a down-set, on which the assignment is monotone, and
+    each p < x lies below some lower cover c of x, so up[f(c)] lies
+    inside up[f(p)].  On a down-forest (at most one lower cover each)
+    the search never backtracks: x's candidates are its arc-consistent
+    domain inside up[f(c)], where f(c) has a support.  A search is then n
+    assignments, O(n + covers) work (Freuder, J. ACM 1982).
     """
     n = X.n
     if n == 0:
@@ -299,7 +307,7 @@ def _search_map(X: FinitePoset, domains: Sequence[int]) -> Optional[tuple[int, .
         return None
     up = X._up_int
     order = X.linext
-    above = X._strict_above
+    above = X._cover_above
     image = [0] * n
     untried = [0] * n
     marks = [0] * n  # trail length before the value at each depth was tried
@@ -321,7 +329,6 @@ def _search_map(X: FinitePoset, domains: Sequence[int]) -> Optional[tuple[int, .
         t = low.bit_length() - 1
         image[x] = t
         allowed = up[t]
-        wiped = False
         for z in above[x]:
             d = dom[z]
             if d & ~allowed:
@@ -329,15 +336,13 @@ def _search_map(X: FinitePoset, domains: Sequence[int]) -> Optional[tuple[int, .
                 d &= allowed
                 dom[z] = d
                 if not d:
-                    wiped = True
                     break
-        if wiped:
-            continue
-        pos += 1
-        if pos == n:
-            return tuple(image)
-        untried[pos] = dom[order[pos]]
-        marks[pos] = len(trail)
+        else:
+            pos += 1
+            if pos == n:
+                return tuple(image)
+            untried[pos] = dom[order[pos]]
+            marks[pos] = len(trail)
     return None
 
 
@@ -553,8 +558,6 @@ def _first_members(n: int, indicators: Sequence[int]) -> list[int]:
     firsts = [-1] * len(indicators)
     left = list(range(len(indicators)))
     for size in range(n + 1):
-        if not left:
-            break
         of_size = full
         for j, (ones, zeros) in enumerate(count_bits):
             of_size &= ones if size >> j & 1 else zeros
@@ -638,7 +641,7 @@ def _quotient(
     # the relation must be a partial order; validation raises if it is not
     order = FinitePoset(tuple(map(str, range(k))), tuple(rows))
     up = order._up_int
-    strict = tuple((i, j) for i, above in enumerate(order._strict_above) for j in above)
+    strict = tuple((i, j) for i, row in enumerate(up) for j in _members(row ^ 1 << i))
     keys = [_item_key(rep) for rep, _ in reps]
     hasse = tuple(sorted(order.hasse_edges(), key=lambda e: (keys[e[0]], keys[e[1]])))
     slo = ()
@@ -708,12 +711,7 @@ def is_retraction(X: FinitePoset, Y: SubsetMask, r: MonotoneMap) -> bool:
     X.check_mask(Y)
     if r.space_id != X.space_id or len(r.image) != X.n:
         raise SpaceMismatch("map belongs to a different space")
-    if not is_monotone(X, r):
-        return False
-    for i in range(X.n):
-        if not Y.has(r.image[i]):
-            return False
-    return all(r.image[i] == i for i in Y.indices())
+    return is_monotone(X, r) and all(map(Y.has, r.image)) and all(r.image[i] == i for i in Y.indices())
 
 
 @dataclass(frozen=True)

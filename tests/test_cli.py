@@ -327,6 +327,28 @@ def test_reduce_kind_any_none_on_long_chain(capsys, tmp_path):
     assert out == "NONE\n"
 
 
+def test_reduce_on_chain4000_prints_a_monotone_witness(capsys, tmp_path):
+    """On a chain, forward checking narrows one upper cover per assignment.
+
+    So the search is 4,000 assignments, not one narrowing per comparable
+    pair.  A is B's preimage under a seeded monotone map (a nondecreasing
+    sequence on a chain), so its level allows the reduction.
+    """
+    n = 4000
+    rng = random.Random(29)
+    B = [rng.random() < 0.5 for _ in range(n)]
+    A = [B[t] for t in sorted(rng.choices(range(n), k=n))]
+    path = tmp_path / "c4000.json"
+    save_document(PosetDocument(chain(n)), path)
+    code, out = run(capsys, "reduce", str(path), "".join("01"[b] for b in A), "".join("01"[b] for b in B))
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split(" -> ")[0] for line in lines] == [str(x) for x in range(n)]
+    image = [int(line.split(" -> ")[1]) for line in lines]
+    assert image == sorted(image)  # monotone on the chain 0 < 1 < ... < n-1
+    assert [B[t] for t in image] == A
+
+
 def test_space_opens_capped(capsys, tmp_path):
     path = tmp_path / "c17.json"
     save_document(PosetDocument(chain(17)), path)

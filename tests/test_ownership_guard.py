@@ -40,6 +40,8 @@ RULES = [
          "one monotone-map search, run by wadge._reduction and enumeration.random_retraction; no third caller"),
     Rule("arc-consistency", {"_arc_consistent"}, set(), {"wadge.py"},
          "the root pruning of wadge._search_map; a caller outside the kernel could prune by a second rule"),
+    Rule("successor-lists", {"_strict_below", "strict_below"}, set(), {"poset.py"},
+         "searches and passes walk cover lists and int rows; a per-pair list costs O(|<|) per element on a long chain"),
 ]
 
 
@@ -111,6 +113,11 @@ SYNTHETIC = [  # (rule, module, source, its uses outside the rule's owners)
      "    return _bool_row(row, 3), poset._bool_row, A.bits, A.bitstring(), leq\n",
      [(1, M, "_bool_row"), (3, "f", "cover"), (3, "f", "leq"),
       (5, "g", "_bool_row"), (5, "g", "_bool_row"), (5, "g", "bits")]),
+    ("successor-lists", "enumeration.py",
+     "def pick(X, image, x):\n"
+     "    allowed = [X._up_int[image[p]] for p in X.strict_below(x)]\n"
+     "    return allowed, X._strict_below[x], X._cover_below[x]\n",
+     [(2, "pick", "strict_below"), (3, "pick", "_strict_below")]),
     ("writers", "cli.py", WRITES, [(4, "cmd_space", W), (5, "cmd_space", W), (6, M, W)]),
     ("writers", "gallery.py", WRITES, [(2, "_emit", W), (4, "cmd_space", W), (5, "cmd_space", W), (6, M, W)]),
 ]

@@ -10,6 +10,7 @@ from finwadge import (
     CapExceeded,
     ColorCountMismatch,
     DiffLevel,
+    FinitePoset,
     KPartition,
     MonotoneMap,
     ReducibilityKind,
@@ -29,12 +30,14 @@ from finwadge import (
     linear_sum,
     partition_reduces,
     poset_isomorphic,
+    truncated_c_infinity,
     wadge_reduces,
 )
 from finwadge import verify, wadge
 from finwadge.enumeration import (
     all_posets,
     random_mask,
+    random_monotone_map,
     random_partition,
     random_poset,
     random_retraction,
@@ -823,8 +826,32 @@ def _random_domains(rng: random.Random, n: int) -> list[int]:
     return domains
 
 
+def _down_tree(rng: random.Random, n: int) -> FinitePoset:
+    """A random poset in which each element has at most one lower cover.
+
+    Element i covers a random earlier one; the labels are shuffled, so
+    the index order is not a linear extension.
+    """
+    names = [f"t{i}" for i in range(n)]
+    covers = [(names[rng.randrange(i)], names[i]) for i in range(1, n)]
+    rng.shuffle(names)
+    return build_poset(names, covers)
+
+
 def test_search_map_matches_reference_oracle():
-    """The pruned kernel returns exactly what unpruned backtracking returns."""
+    """The pruned kernel returns exactly what unpruned backtracking returns.
+
+    Deep posets are where the upper covers that forward checking narrows
+    and the strict successors differ most.  On them the reference runs on
+    the arc-consistent domains, which keep every solution: it tries the
+    lowest index first, the top of ``truncated_c_infinity``, and would
+    backtrack exponentially on the raw domains.  They are down-forests,
+    so after arc consistency a solution exists and neither search
+    backtracks.  On the two wide posets the reference is exponential, so
+    only the witnesses are checked: monotone, with the exact preimage.
+    Each of their pairs has one, as A is B's preimage under a random
+    monotone map.
+    """
     rng = random.Random(20)
     posets = [P for n in range(1, 6) for P in all_posets(n)]
     posets += [random_poset(rng, rng.randint(6, 12)) for _ in range(50)]
@@ -840,6 +867,31 @@ def test_search_map_matches_reference_oracle():
             assert _search_map(P, domains) == want
             found[want is not None] += 1
     assert min(found.values()) > 500
+
+    deep = [chain(160), truncated_c_infinity(40)] + [_down_tree(rng, rng.randint(30, 60)) for _ in range(8)]
+    found = {True: 0, False: 0}
+    for P in deep:
+        for _ in range(30):
+            if rng.random() < 0.5:
+                domains = _random_domains(rng, P.n)
+            else:
+                domains = reference_domains(P, random_mask(rng, P), random_mask(rng, P))
+            narrowed = reference_arc_consistent(P, domains)
+            got = _search_map(P, domains)
+            if narrowed is None:
+                assert got is None
+            else:
+                assert got is not None and got == reference_search_map(P, narrowed)
+            found[narrowed is not None] += 1
+    assert min(found.values()) > 50
+
+    for P in (lex_product(antichain(3), chain(60)), fan(12).space):
+        for _ in range(20):
+            B = random_mask(rng, P)
+            A = random_monotone_map(rng, P).preimage(B)
+            image = _search_map(P, reference_domains(P, A, B))
+            assert image is not None and is_monotone(P, image)
+            assert MonotoneMap(P.space_id, image).preimage(B) == A
 
 
 def test_arc_consistent_matches_the_exact_fixpoint():
