@@ -138,8 +138,8 @@ def random_partition(rng: random.Random, X: FinitePoset, k: int) -> KPartition:
 def random_monotone_map(rng: random.Random, X: FinitePoset) -> MonotoneMap:
     """Random order-preserving self-map, by assignment along a linear extension.
 
-    Each image lies above the images of the element's lower covers, hence
-    above those of all its predecessors.  Falls back to a constant map if a random assignment dead-ends too
+    f(x) is drawn above f(c) for each lower cover c, so above f(p) for all p < x.
+    Falls back to a constant map if a random assignment dead-ends too
     often (possible when upper bounds run out in wide posets).
     """
     for _ in range(32):

@@ -276,27 +276,26 @@ def _arc_consistent(X: FinitePoset, domains: Sequence[int]) -> Optional[list[int
 def _search_map(X: FinitePoset, domains: Sequence[int]) -> Optional[tuple[int, ...]]:
     """First monotone map with f(x) in the bitmask domains[x], or None.
 
-    Monotonicity asks only f(y) <= f(z) on each cover y < z, so the cover
-    edges are the whole constraint graph.  Two prunings on it remove only
-    values that belong to no solution:
-    - at the root, arc consistency (``_arc_consistent``): for each cover
-      y < z, f(z) needs a support in the up-closure of dom[y] and f(y)
-      one in the down-closure of dom[z];
+    Monotonicity constrains only the covers y < z, so they are the whole
+    constraint graph, and two prunings on it remove only values that
+    belong to no solution:
+    - at the root, arc consistency (``_arc_consistent``): f(z) needs a
+      support in the up-closure of dom[y], f(y) one in the down-closure
+      of dom[z];
     - forward checking along X.linext: setting f(x) = t narrows the
       domain of each upper cover of x to the up-set of t, and a trail of
       (element, old domain) pairs undoes that on backtracking.
     The search is depth-first along X.linext with an explicit stack, and
     the candidates at each depth are the current domain, tried lowest
-    index first.  The result is therefore the first solution in
-    linear-extension order, as without the prunings; the root pass ends
-    at the greatest arc-consistent domains, whatever order it removes
-    values in.  Those candidates are dom[x] inside up[f(p)] for every
-    p < x, as if every strict successor were narrowed: the elements
-    before x form a down-set, on which the assignment is monotone, and
+    index first.  So the result is the first solution in linear-extension
+    order, as without the prunings; the root pass ends at the unique
+    greatest arc-consistent domains.  The candidates are dom[x] inside
+    up[f(p)] for every p < x, as if every strict successor were narrowed:
+    the assigned elements form a down-set on which f is monotone, and
     each p < x lies below some lower cover c of x, so up[f(c)] lies
-    inside up[f(p)].  On a down-forest (at most one lower cover each)
-    the search never backtracks: x's candidates are its arc-consistent
-    domain inside up[f(c)], where f(c) has a support.  A search is then n
+    inside up[f(p)].  On a down-forest (at most one lower cover each) the
+    search never backtracks: x's candidates are its arc-consistent domain
+    inside up[f(c)], where f(c) has a support.  A search is then n
     assignments, O(n + covers) work (Freuder, J. ACM 1982).
     """
     n = X.n
@@ -711,7 +710,12 @@ def is_retraction(X: FinitePoset, Y: SubsetMask, r: MonotoneMap) -> bool:
     X.check_mask(Y)
     if r.space_id != X.space_id or len(r.image) != X.n:
         raise SpaceMismatch("map belongs to a different space")
-    return is_monotone(X, r) and all(map(Y.has, r.image)) and all(r.image[i] == i for i in Y.indices())
+    if not is_monotone(X, r):
+        return False
+    for i in range(X.n):
+        if not Y.has(r.image[i]):
+            return False
+    return all(r.image[i] == i for i in Y.indices())
 
 
 @dataclass(frozen=True)
