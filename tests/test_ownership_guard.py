@@ -41,7 +41,7 @@ RULES = [
     Rule("arc-consistency", {"_arc_consistent"}, set(), {"wadge.py"},
          "the root pruning of wadge._search_map; a caller outside the kernel could prune by a second rule"),
     Rule("successor-lists", {"_strict_below", "strict_below"}, set(), {"poset.py"},
-         "searches and passes walk cover lists and int rows; a per-pair list costs O(|<|) per element on a long chain"),
+         "searches and passes walk cover lists and int rows; per-pair lists cost O(|<|), quadratic on a long chain"),
 ]
 
 

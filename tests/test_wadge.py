@@ -844,8 +844,8 @@ def test_search_map_matches_reference_oracle():
     Deep posets are where the upper covers that forward checking narrows
     and the strict successors differ most.  On them the reference runs on
     the arc-consistent domains, which keep every solution: it tries the
-    lowest index first, the top of ``truncated_c_infinity``, and would
-    backtrack exponentially on the raw domains.  They are down-forests,
+    lowest index first, the top of ``truncated_c_infinity``, and on the
+    raw domains it backtracks for minutes.  They are down-forests,
     so after arc consistency a solution exists and neither search
     backtracks.  On the two wide posets the reference is exponential, so
     only the witnesses are checked: monotone, with the exact preimage.
